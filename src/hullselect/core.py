@@ -160,24 +160,3 @@ class ObservationVector:
     def n(self) -> int:
         return int(self.x.size)
 
-
-def kahan_suffix_sums(values_desc: np.ndarray) -> np.ndarray:
-    """Suffix sums of a descending-magnitude array via compensated summation.
-
-    Returns s with s[k] = sum(values_desc[k:]) and s[n] = 0. Accumulating
-    from the small tail upward keeps the running compensation effective, so
-    equal true sums stay equal in float and the downstream argmin is
-    deterministic.
-    """
-    n = len(values_desc)
-    out = np.empty(n + 1, dtype=float)
-    out[n] = 0.0
-    total = 0.0
-    comp = 0.0
-    for k in range(n - 1, -1, -1):
-        y = float(values_desc[k]) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out[k] = total
-    return out

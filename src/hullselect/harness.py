@@ -14,7 +14,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -244,6 +243,19 @@ def _replicate(ctx: _RepContext, job: tuple[int, int]) -> RepRecord:
     )
 
 
+_WORKER_CTX: _RepContext | None = None
+
+
+def _init_worker(ctx: _RepContext) -> None:
+    """Pool initializer: receive the shared rep context once per worker."""
+    global _WORKER_CTX
+    _WORKER_CTX = ctx
+
+
+def _replicate_in_worker(job: tuple[int, int]) -> RepRecord:
+    return _replicate(_WORKER_CTX, job)
+
+
 def resolve_workers(explicit: int | None = None) -> int:
     """Worker count: explicit argument, else HULLSELECT_THREADS, else all cores."""
     if explicit is not None:
@@ -309,8 +321,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     n_workers = resolve_workers(workers)
     if n_workers > 1 and cfg.replications > 1:
         chunk = max(1, cfg.replications // (4 * n_workers))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(partial(_replicate, ctx), jobs, chunksize=chunk))
+        with ProcessPoolExecutor(
+            max_workers=n_workers, initializer=_init_worker, initargs=(ctx,)
+        ) as pool:
+            records = list(pool.map(_replicate_in_worker, jobs, chunksize=chunk))
     else:
         records = [_replicate(ctx, job) for job in jobs]
     records.sort(key=lambda r: r.rep)

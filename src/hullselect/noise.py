@@ -49,13 +49,17 @@ class Ar1(NoiseModel):
             raise DomainError(f"ar1 rho must lie in (-1, 1), got {self.rho}")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(n)
-        out = np.empty(n)
-        out[0] = z[0]
-        c = math.sqrt(1.0 - self.rho**2)
-        for i in range(1, n):
-            out[i] = self.rho * out[i - 1] + c * z[i]
-        return out
+        # Python floats round exactly as numpy float64 scalars do, so the
+        # recurrence on a list is bit-identical to indexing the array.
+        z = rng.standard_normal(n).tolist()
+        rho = self.rho
+        c = math.sqrt(1.0 - rho**2)
+        prev = z[0]
+        out = [prev]
+        for zi in z[1:]:
+            prev = rho * prev + c * zi
+            out.append(prev)
+        return np.array(out)
 
     def to_spec(self) -> dict:
         return {"variant": "ar1", "rho": self.rho}

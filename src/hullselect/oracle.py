@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._sweep import order_by_score, penalty_vector, sweep_argmin
-from .core import Q_DEFAULT, DomainError, SelectionMask, kahan_suffix_sums
+from ._sweep import kahan_suffix_sums, order_by_score, penalty_vector, sweep_argmin
+from .core import Q_DEFAULT, DomainError, SelectionMask
 
 
 def _as_signal(theta) -> np.ndarray:
@@ -47,12 +47,14 @@ def active_set(theta, level: float, sigma: float, q: float = Q_DEFAULT) -> Activ
     depends on (level, sigma) only through level*sigma^2.
     """
     theta = _as_signal(theta)
-    if level < 0:
-        raise DomainError(f"level must be >= 0, got {level}")
-    if not (sigma > 0):
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    if not (0 <= level < math.inf):
+        raise DomainError(f"level must be finite and >= 0, got {level}")
+    if not (0 < sigma < math.inf):
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
+    if not math.isfinite(q):
+        raise DomainError(f"q must be finite, got {q}")
     weight = level * sigma**2
-    k, order, _, value = sweep_argmin(theta**2, weight, q, prefer_small=True)
+    k, order, value = sweep_argmin(theta**2, weight, q, prefer_small=True)
     mask = SelectionMask(tuple(sorted(int(i) + 1 for i in order[:k])), len(theta))
     return ActiveSetResult(mask, value)
 

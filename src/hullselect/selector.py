@@ -32,10 +32,12 @@ class SelectorConfig:
     threshold_floor_one: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.K > 0):
-            raise DomainError(f"K must be positive, got {self.K}")
-        if not (self.sigma > 0):
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        if not (0 < self.K < math.inf):
+            raise DomainError(f"K must be positive and finite, got {self.K}")
+        if not (0 < self.sigma < math.inf):
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+        if not math.isfinite(self.q):
+            raise DomainError(f"q must be finite, got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ def preselect(obs: ObservationVector, cfg: SelectorConfig) -> tuple[SelectionMas
     reduction, verified against exhaustive search in the tests.
     """
     weight = cfg.K * cfg.sigma**2
-    k, order, _, value = sweep_argmin(obs.x**2, weight, cfg.q, prefer_small=False)
+    k, order, value = sweep_argmin(obs.x**2, weight, cfg.q, prefer_small=False)
     mask = SelectionMask(tuple(sorted(int(i) + 1 for i in order[:k])), obs.n)
     return mask, value
 

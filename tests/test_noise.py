@@ -36,6 +36,20 @@ class TestSamplers:
         b = sample_noise(IidGaussian(), 500, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_ar1_bitwise_equals_indexed_recurrence(self, rho, n):
+        # the recurrence written on numpy float64 scalars, element by element
+        z = np.random.default_rng(31).standard_normal(n)
+        expect = np.empty(n)
+        expect[0] = z[0]
+        c = math.sqrt(1.0 - rho**2)
+        for i in range(1, n):
+            expect[i] = rho * expect[i - 1] + c * z[i]
+        got = Ar1(rho).sample(n, np.random.default_rng(31))
+        assert got.dtype == expect.dtype and got.shape == (n,)
+        assert got.tobytes() == expect.tobytes()
+
     def test_rademacher_support(self):
         x = sample_noise(Rademacher(), 1000, np.random.default_rng(1))
         assert set(np.unique(x)) == {-1.0, 1.0}
