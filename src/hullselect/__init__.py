@@ -22,14 +22,12 @@ from .bounds import (
     std_normal_cdf,
 )
 from .core import (
-    Conventions,
     DimensionError,
     DomainError,
     ObservationVector,
     Q_DEFAULT,
     SelectionMask,
     hamming_distance,
-    mask_complement,
     sparsity_penalty,
 )
 from .harness import (
@@ -75,26 +73,17 @@ from .oracle import (
     variable_selection_path,
 )
 from .selector import SelectionResult, SelectorConfig, mallows_cp, preselect, select
-from .uq import (
-    ConfidenceBall,
-    UqConfig,
-    ball_contains,
-    confidence_radius,
-    evaluate_uq,
-    evaluate_uq_counts,
-)
+from .uq import ConfidenceBall, UqConfig, confidence_radius, evaluate_uq_counts
 
 __all__ = [
     "__version__",
     "Q_DEFAULT",
-    "Conventions",
     "DomainError",
     "DimensionError",
     "SelectionMask",
     "ObservationVector",
     "sparsity_penalty",
     "hamming_distance",
-    "mask_complement",
     "SelectorConfig",
     "SelectionResult",
     "preselect",
@@ -117,8 +106,6 @@ __all__ = [
     "ConfidenceBall",
     "UqConfig",
     "confidence_radius",
-    "ball_contains",
-    "evaluate_uq",
     "evaluate_uq_counts",
     "NoiseModel",
     "IidGaussian",

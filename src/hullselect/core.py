@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,16 +25,12 @@ class DimensionError(ValueError):
     """Objects with mismatched ambient dimension were combined."""
 
 
-@dataclass(frozen=True)
-class Conventions:
-    """Numeric conventions shared by all criteria.
-
-    ``q`` defaults to exp(2) and is only overridable for sensitivity
-    experiments. The zero conventions are 0/0 = 0 and 0*log(a/0) = 0,
-    applied wherever proportions or the penalty hit degenerate inputs.
-    """
-
-    q: float = Q_DEFAULT
+def check_sigma_q(sigma: float, q: float = Q_DEFAULT) -> None:
+    """Raise DomainError unless 0 < sigma, sigma*sigma is finite and q is finite."""
+    if not (sigma > 0 and math.isfinite(sigma * sigma)):
+        raise DomainError(f"sigma must be positive with a finite square, got {sigma}")
+    if not math.isfinite(q):
+        raise DomainError(f"q must be finite, got {q}")
 
 
 def sparsity_penalty(k: int | float, n: int, q: float = Q_DEFAULT) -> float:
@@ -75,9 +71,9 @@ class SelectionMask:
                 raise DomainError("indices must be strictly increasing")
 
     @classmethod
-    def from_indices(cls, indices: Iterable[int], n: int) -> "SelectionMask":
-        """Build a mask from any iterable of 1-based indices (deduplicated)."""
-        return cls(tuple(sorted(set(int(i) for i in indices))), n)
+    def from_indices(cls, indices: Sequence[int] | np.ndarray, n: int) -> "SelectionMask":
+        """Build a mask from an array-like of 1-based indices (deduplicated)."""
+        return cls(tuple(sorted(set(np.asarray(indices, dtype=np.int64).tolist()))), n)
 
     @classmethod
     def empty(cls, n: int) -> "SelectionMask":
@@ -87,18 +83,12 @@ class SelectionMask:
     def full(cls, n: int) -> "SelectionMask":
         return cls(tuple(range(1, n + 1)), n)
 
-    @classmethod
-    def from_indicator(cls, eta: Sequence[int] | np.ndarray) -> "SelectionMask":
-        """Build a mask from a 0/1 indicator vector."""
-        eta = np.asarray(eta)
-        return cls(tuple(int(i) + 1 for i in np.flatnonzero(eta)), len(eta))
-
     @property
     def size(self) -> int:
         return len(self.indices)
 
     def __contains__(self, i: int) -> bool:
-        return i in set(self.indices)
+        return i in self.indices
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -113,23 +103,9 @@ class SelectionMask:
             eta[np.asarray(self.indices) - 1] = 1
         return eta
 
-    def binary_string(self) -> str:
-        """0/1 string form used in CSV columns."""
-        own = self.as_set()
-        return "".join("1" if i in own else "0" for i in range(1, self.n + 1))
-
-    def complement(self) -> "SelectionMask":
-        """All coordinates of [n] not in this mask."""
-        own = self.as_set()
-        return SelectionMask(tuple(i for i in range(1, self.n + 1) if i not in own), self.n)
-
     def to_json(self) -> list[int]:
         """Sorted 1-based index array, the JSON wire form."""
         return list(self.indices)
-
-
-def mask_complement(a: SelectionMask) -> SelectionMask:
-    return a.complement()
 
 
 def hamming_distance(a: SelectionMask, b: SelectionMask) -> int:
@@ -152,8 +128,7 @@ class ObservationVector:
             raise DomainError("x must be a nonempty 1-d vector")
         if not np.all(np.isfinite(x)):
             raise DomainError("x must be finite")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+        check_sigma_q(self.sigma)
         object.__setattr__(self, "x", x)
 
     @property

@@ -257,21 +257,25 @@ def _replicate_in_worker(job: tuple[int, int]) -> RepRecord:
 
 
 def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else HULLSELECT_THREADS, else all cores."""
-    if explicit is not None:
-        if explicit < 0:
-            raise ConfigError("workers", f"must be >= 0, got {explicit}")
-        return explicit or (os.cpu_count() or 1)
-    env = os.environ.get("HULLSELECT_THREADS", "").strip()
-    if not env:
-        return os.cpu_count() or 1
+    """Worker count: explicit argument, else HULLSELECT_THREADS, else every usable core.
+
+    Zero also means every usable core: the cores this process may run on,
+    which can be fewer than the machine's when its CPU affinity is pinned.
+    """
+    field, raw = "workers", explicit
+    if explicit is None:
+        field, raw = "HULLSELECT_THREADS", os.environ.get("HULLSELECT_THREADS", "").strip() or 0
     try:
-        value = int(env)
+        value = int(raw)
     except ValueError as exc:
-        raise ConfigError("HULLSELECT_THREADS", f"expected an integer, got {env!r}") from exc
+        raise ConfigError(field, f"expected an integer, got {raw!r}") from exc
     if value < 0:
-        raise ConfigError("HULLSELECT_THREADS", f"must be >= 0, got {value}")
-    return value or (os.cpu_count() or 1)
+        raise ConfigError(field, f"must be >= 0, got {value}")
+    if value:
+        return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

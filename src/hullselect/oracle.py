@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ._sweep import kahan_suffix_sums, order_by_score, penalty_vector, sweep_argmin
-from .core import Q_DEFAULT, DomainError, SelectionMask
+from .core import Q_DEFAULT, DomainError, SelectionMask, check_sigma_q
 
 
 def _as_signal(theta) -> np.ndarray:
@@ -49,14 +49,10 @@ def active_set(theta, level: float, sigma: float, q: float = Q_DEFAULT) -> Activ
     theta = _as_signal(theta)
     if not (0 <= level < math.inf):
         raise DomainError(f"level must be finite and >= 0, got {level}")
-    if not (0 < sigma < math.inf):
-        raise DomainError(f"sigma must be positive and finite, got {sigma}")
-    if not math.isfinite(q):
-        raise DomainError(f"q must be finite, got {q}")
+    check_sigma_q(sigma, q)
     weight = level * sigma**2
     k, order, value = sweep_argmin(theta**2, weight, q, prefer_small=True)
-    mask = SelectionMask(tuple(sorted(int(i) + 1 for i in order[:k])), len(theta))
-    return ActiveSetResult(mask, value)
+    return ActiveSetResult(SelectionMask.from_indices(order[:k] + 1, len(theta)), value)
 
 
 def variable_selection_path(theta) -> list[SelectionMask]:
@@ -74,7 +70,7 @@ def variable_selection_path(theta) -> list[SelectionMask]:
     path = [SelectionMask.empty(n)]
     for k in range(1, n + 1):
         if k == n or sorted_v[k - 1] > sorted_v[k]:
-            path.append(SelectionMask(tuple(sorted(int(i) + 1 for i in order[:k])), n))
+            path.append(SelectionMask.from_indices(order[:k] + 1, n))
     return path
 
 
@@ -134,13 +130,13 @@ def active_set_path(theta, sigma: float, q: float = Q_DEFAULT) -> list[Selection
     Each candidate cardinality contributes an affine function of the level
     (suffix energy plus slope sigma^2 * penalty(k)); the path is the lower
     envelope of those lines. Intervals are half open on the right, matching
-    the right continuity of the active-set size, and evaluating any level
-    through :func:`path_lookup` reproduces :func:`active_set` there,
-    including the smallest-index-sum rule at breakpoints.
+    the right continuity of the active-set size. Inside an interval,
+    :func:`path_lookup` reproduces :func:`active_set`. A breakpoint
+    ``a_low`` is a float rounding of the exact crossing and can fall on its
+    near side, so within a few ulps of ``a_low`` the two can disagree.
     """
     theta = _as_signal(theta)
-    if not (sigma > 0):
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    check_sigma_q(sigma, q)
     n = len(theta)
     v = theta**2
     order = order_by_score(v)
@@ -148,9 +144,6 @@ def active_set_path(theta, sigma: float, q: float = Q_DEFAULT) -> list[Selection
     suffix = kahan_suffix_sums(sorted_v)
     slopes = sigma**2 * penalty_vector(n, q)
     cands = [0] + [k for k in range(1, n + 1) if k == n or sorted_v[k - 1] > sorted_v[k]]
-
-    def mask_of(k: int) -> SelectionMask:
-        return SelectionMask(tuple(sorted(int(i) + 1 for i in order[:k])), n)
 
     # At level 0 the criterion is the suffix energy alone; the zero-energy
     # candidate with the smallest index sum is the support.
@@ -161,17 +154,18 @@ def active_set_path(theta, sigma: float, q: float = Q_DEFAULT) -> list[Selection
         a_next, k_next = _min_crossing(k_cur, cands, suffix, slopes)
         a_next = max(a_next, a_cur)
         if a_next > a_cur:
-            entries.append(SelectionPathEntry(a_cur, a_next, mask_of(k_cur)))
+            active = SelectionMask.from_indices(order[:k_cur] + 1, n)
+            entries.append(SelectionPathEntry(a_cur, a_next, active))
             a_cur = a_next
         k_cur = k_next
-    entries.append(SelectionPathEntry(a_cur, math.inf, mask_of(k_cur)))
+    entries.append(SelectionPathEntry(a_cur, math.inf, SelectionMask.empty(n)))
     return entries
 
 
 def path_lookup(entries: Sequence[SelectionPathEntry], level: float) -> SelectionMask:
     """Active set at the given level according to the interval decomposition."""
-    if level < 0:
-        raise DomainError(f"level must be >= 0, got {level}")
+    if not (0 <= level < math.inf):
+        raise DomainError(f"level must be finite and >= 0, got {level}")
     lows = [e.a_low for e in entries]
     return entries[bisect_right(lows, level) - 1].active
 

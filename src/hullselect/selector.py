@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sweep import sweep_argmin
-from .core import Q_DEFAULT, DomainError, ObservationVector, SelectionMask
+from .core import Q_DEFAULT, DomainError, ObservationVector, SelectionMask, check_sigma_q
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,7 @@ class SelectorConfig:
     def __post_init__(self) -> None:
         if not (0 < self.K < math.inf):
             raise DomainError(f"K must be positive and finite, got {self.K}")
-        if not (0 < self.sigma < math.inf):
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
-        if not math.isfinite(self.q):
-            raise DomainError(f"q must be finite, got {self.q}")
+        check_sigma_q(self.sigma, self.q)
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,7 @@ def preselect(obs: ObservationVector, cfg: SelectorConfig) -> tuple[SelectionMas
     """
     weight = cfg.K * cfg.sigma**2
     k, order, value = sweep_argmin(obs.x**2, weight, cfg.q, prefer_small=False)
-    mask = SelectionMask(tuple(sorted(int(i) + 1 for i in order[:k])), obs.n)
-    return mask, value
+    return SelectionMask.from_indices(order[:k] + 1, obs.n), value
 
 
 def select(obs: ObservationVector, cfg: SelectorConfig) -> SelectionResult:
@@ -84,9 +80,7 @@ def select(obs: ObservationVector, cfg: SelectorConfig) -> SelectionResult:
         threshold = math.inf
     else:
         threshold = cfg.K * cfg.sigma**2 * math.log(cfg.q * obs.n / max(size, 1))
-    xsq = obs.x**2
-    chosen = tuple(int(i) + 1 for i in np.flatnonzero(xsq >= threshold))
-    selected = SelectionMask(chosen, obs.n)
+    selected = SelectionMask.from_indices(np.flatnonzero(obs.x**2 >= threshold) + 1, obs.n)
     if not cfg.threshold_floor_one and not selected.as_set() <= pre.as_set():
         raise RuntimeError("selector produced a coordinate outside the preselector")
     return SelectionResult(pre, selected, threshold, value)
@@ -98,5 +92,4 @@ def mallows_cp(obs: ObservationVector) -> SelectionMask:
     Coordinates tied exactly at 2*sigma^2 are excluded (strict inequality).
     """
     cut = 2.0 * obs.sigma**2
-    chosen = tuple(int(i) + 1 for i in np.flatnonzero(obs.x**2 > cut))
-    return SelectionMask(chosen, obs.n)
+    return SelectionMask.from_indices(np.flatnonzero(obs.x**2 > cut) + 1, obs.n)

@@ -7,10 +7,11 @@ and size failures are evaluated as plain Monte-Carlo fractions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import DimensionError, DomainError, SelectionMask, hamming_distance
+from .core import DomainError, SelectionMask, hamming_distance
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,10 @@ class UqConfig:
     m1_prime: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.alpha4_prime < 0:
-            raise DomainError(f"alpha4_prime must be >= 0, got {self.alpha4_prime}")
-        if not (self.m1_prime > 0):
-            raise DomainError(f"m1_prime must be positive, got {self.m1_prime}")
+        if not (0 <= self.alpha4_prime < math.inf):
+            raise DomainError(f"alpha4_prime must be finite and >= 0, got {self.alpha4_prime}")
+        if not (0 < self.m1_prime < math.inf):
+            raise DomainError(f"m1_prime must be positive and finite, got {self.m1_prime}")
 
 
 def confidence_radius(preselector_size: int, n: int, alpha4_prime: float) -> float:
@@ -42,8 +43,8 @@ def confidence_radius(preselector_size: int, n: int, alpha4_prime: float) -> flo
     """
     if not (0 <= preselector_size <= n):
         raise DomainError(f"size must lie in [0, {n}], got {preselector_size}")
-    if alpha4_prime < 0:
-        raise DomainError(f"alpha4_prime must be >= 0, got {alpha4_prime}")
+    if not (0 <= alpha4_prime < math.inf):
+        raise DomainError(f"alpha4_prime must be finite and >= 0, got {alpha4_prime}")
     return n * (max(preselector_size, 1) / n) ** alpha4_prime
 
 
@@ -59,32 +60,7 @@ class ConfidenceBall:
             raise DomainError(f"radius must be >= 0, got {self.radius}")
 
     def contains(self, eta: SelectionMask) -> bool:
-        if eta.n != self.center.n:
-            raise DimensionError(f"mask dimensions differ: {eta.n} != {self.center.n}")
         return hamming_distance(self.center, eta) <= self.radius
-
-
-def ball_contains(ball: ConfidenceBall, eta: SelectionMask) -> bool:
-    return ball.contains(eta)
-
-
-def evaluate_uq(
-    reps: Iterable[tuple[int, SelectionMask, SelectionMask]],
-    n: int,
-    cfg: UqConfig,
-) -> tuple[float, float]:
-    """Coverage-failure and size-exceedance fractions over replications.
-
-    Each replication is (preselector_size, selected_mask, active_mask). The
-    data radius is always computed from the preselector size and the
-    benchmark radius from the active-set size; the two are never swapped.
-    """
-    records = []
-    for presize, selected, active in reps:
-        if selected.n != n or active.n != n:
-            raise DimensionError("replication masks disagree with n")
-        records.append((presize, hamming_distance(selected, active), active.size))
-    return evaluate_uq_counts(records, n, cfg)
 
 
 def evaluate_uq_counts(
@@ -92,7 +68,13 @@ def evaluate_uq_counts(
     n: int,
     cfg: UqConfig,
 ) -> tuple[float, float]:
-    """Same as :func:`evaluate_uq` from (preselector_size, hamming, active_size) triples."""
+    """Coverage-failure and size-exceedance fractions over replications.
+
+    Each record is (preselector_size, hamming, active_size), the hamming
+    distance being that between the selected and the active mask. The data
+    radius is always computed from the preselector size and the benchmark
+    radius from the active-set size; the two are never swapped.
+    """
     records = list(records)
     if not records:
         raise DomainError("cannot evaluate UQ on an empty replication list")

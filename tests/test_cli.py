@@ -141,6 +141,13 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", cfg)
         assert code == 2 and "K" in err
 
+    @pytest.mark.parametrize("uq", [{"alpha4_prime": math.nan}, {"m1_prime": math.inf}])
+    def test_non_finite_uq_exit_2(self, capsys, tmp_path, uq):
+        cfg = self.config(tmp_path, uq=uq)
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 2 and "config field 'uq'" in err
+        assert out == ""
+
 
 class TestBound:
     def test_grid_csv(self, capsys):
@@ -214,6 +221,18 @@ class TestUq:
         p.write_text("wrong,header\n1,2\n")
         code, _, err = run_cli(capsys, "uq", "--reps-in", str(p), "--n", "10")
         assert code == 2
+
+    def test_non_finite_exponent_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "reps.csv"
+        p.write_text(
+            "rep,false_pos,false_neg,selected_size,preselector_size,active_size,hamming\n"
+            "1,0,0,3,3,3,0\n"
+        )
+        code, out, err = run_cli(
+            capsys, "uq", "--reps-in", str(p), "--n", "100", "--alpha4-prime", "nan"
+        )
+        assert code == 2 and "alpha4_prime" in err
+        assert out == ""
 
 
 class TestVersionFlag:

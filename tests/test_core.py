@@ -11,15 +11,8 @@ from hullselect import (
     Q_DEFAULT,
     SelectionMask,
     hamming_distance,
-    mask_complement,
     sparsity_penalty,
 )
-
-
-def masks(max_n=10):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.sets(st.integers(1, n)).map(lambda s: SelectionMask(tuple(sorted(s)), n))
-    )
 
 
 def equal_n_mask_triples(max_n=10):
@@ -78,19 +71,18 @@ class TestSelectionMask:
     def test_indicator_roundtrip(self):
         m = SelectionMask((1, 3), 4)
         assert m.indicator().tolist() == [1, 0, 1, 0]
-        assert SelectionMask.from_indicator(m.indicator()) == m
-        assert m.binary_string() == "1010"
-
-    def test_complement_examples(self):
-        assert mask_complement(SelectionMask.empty(5)) == SelectionMask.full(5)
-        assert mask_complement(SelectionMask((2, 4), 4)) == SelectionMask((1, 3), 4)
-
-    @given(masks())
-    def test_complement_involution(self, m):
-        assert mask_complement(mask_complement(m)) == m
 
     def test_json_form(self):
         assert SelectionMask((2, 5), 6).to_json() == [2, 5]
+
+    def test_from_indices_sorts_dedups_and_yields_python_ints(self):
+        for raw in ([3, 1, 3], np.array([3, 1, 3]), np.array([2, 0, 2]) + 1):
+            m = SelectionMask.from_indices(raw, 4)
+            assert m == SelectionMask((1, 3), 4)
+            assert all(type(i) is int for i in m.indices)
+        assert SelectionMask.from_indices(np.array([], dtype=np.int64), 4) == SelectionMask.empty(4)
+        with pytest.raises(DomainError):
+            SelectionMask.from_indices([0, 1], 4)
 
 
 class TestHamming:

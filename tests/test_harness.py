@@ -16,6 +16,7 @@ from hullselect import (
     run_experiment,
     stream_seed,
 )
+from hullselect.harness import resolve_workers
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.schema.json").read_text())
 
@@ -104,6 +105,44 @@ class TestStreams:
     def test_64_bit_range(self):
         for r in range(1000):
             assert 0 <= stream_seed(-5, r) < 2**64
+
+
+class TestResolveWorkers:
+    @pytest.fixture
+    def pinned(self, monkeypatch):
+        """Pretend the machine has 64 cores but this process may use only 3."""
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+        monkeypatch.delenv("HULLSELECT_THREADS", raising=False)
+
+    def test_unset_uses_usable_cores(self, pinned):
+        assert resolve_workers() == 3
+
+    @pytest.mark.parametrize("env, expect", [("", 3), ("  ", 3), ("0", 3), ("2", 2), (" 5 ", 5)])
+    def test_env(self, pinned, monkeypatch, env, expect):
+        monkeypatch.setenv("HULLSELECT_THREADS", env)
+        assert resolve_workers() == expect
+
+    @pytest.mark.parametrize("explicit, expect", [(0, 3), (1, 1), (7, 7)])
+    def test_explicit_overrides_env(self, pinned, monkeypatch, explicit, expect):
+        monkeypatch.setenv("HULLSELECT_THREADS", "2")
+        assert resolve_workers(explicit) == expect
+
+    def test_without_affinity_falls_back_to_cpu_count(self, pinned, monkeypatch):
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        assert resolve_workers() == 64
+
+    @pytest.mark.parametrize("env", ["-1", "two", "1.5"])
+    def test_bad_env(self, pinned, monkeypatch, env):
+        monkeypatch.setenv("HULLSELECT_THREADS", env)
+        with pytest.raises(ConfigError) as info:
+            resolve_workers()
+        assert info.value.field == "HULLSELECT_THREADS"
+
+    def test_negative_explicit(self, pinned):
+        with pytest.raises(ConfigError) as info:
+            resolve_workers(-1)
+        assert info.value.field == "workers"
 
 
 class TestRunExperiment:

@@ -240,8 +240,9 @@ class TestActiveSetPath:
 
     def test_lookup_domain(self):
         entries = active_set_path([1.0, 0.0], 1.0)
-        with pytest.raises(DomainError):
-            path_lookup(entries, -0.5)
+        for level in (-0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                path_lookup(entries, level)
 
 
 class TestDistinctActiveSet:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,9 @@ from hullselect import (
     DomainError,
     SelectionMask,
     UqConfig,
-    ball_contains,
     confidence_radius,
-    evaluate_uq,
     evaluate_uq_counts,
+    hamming_distance,
 )
 
 
@@ -36,8 +37,9 @@ class TestRadius:
             confidence_radius(-1, 10, 1.0)
         with pytest.raises(DomainError):
             confidence_radius(11, 10, 1.0)
-        with pytest.raises(DomainError):
-            confidence_radius(2, 10, -0.5)
+        for alpha in (-0.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                confidence_radius(2, 10, alpha)
 
 
 class TestBall:
@@ -47,8 +49,8 @@ class TestBall:
 
     def test_real_radius_vs_integer_distance(self):
         ball = ConfidenceBall(SelectionMask((1,), 3), 1.5)
-        assert not ball_contains(ball, SelectionMask((2,), 3))  # distance 2
-        assert ball_contains(ball, SelectionMask((1, 2), 3))  # distance 1
+        assert not ball.contains(SelectionMask((2,), 3))  # distance 2
+        assert ball.contains(SelectionMask((1, 2), 3))  # distance 1
 
     def test_diameter_radius_contains_everything(self):
         rng = np.random.default_rng(0)
@@ -73,8 +75,8 @@ class TestEvaluate:
     def test_perfect_recovery_covers(self):
         n = 20
         m = SelectionMask((1, 2, 3), n)
-        reps = [(3, m, m)] * 10
-        cover_fail, _ = evaluate_uq(reps, n, UqConfig(alpha4_prime=1.0, m1_prime=4.0))
+        reps = [(m.size, hamming_distance(m, m), m.size)] * 10
+        cover_fail, _ = evaluate_uq_counts(reps, n, UqConfig(alpha4_prime=1.0, m1_prime=4.0))
         assert cover_fail == 0.0
 
     def test_degenerate_exponent_identities(self):
@@ -121,10 +123,6 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate_uq_counts([], 5, UqConfig())
 
-    def test_mask_dimension_check(self):
-        with pytest.raises(DimensionError):
-            evaluate_uq([(1, SelectionMask.empty(3), SelectionMask.empty(3))], 4, UqConfig())
-
 
 class TestUqConfig:
     def test_validation(self):
@@ -132,4 +130,9 @@ class TestUqConfig:
             UqConfig(alpha4_prime=-0.1)
         with pytest.raises(DomainError):
             UqConfig(m1_prime=0.0)
+        for value in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                UqConfig(alpha4_prime=value)
+            with pytest.raises(DomainError):
+                UqConfig(m1_prime=value)
         assert UqConfig(alpha4_prime=0.0).alpha4_prime == 0.0
