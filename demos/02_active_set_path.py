@@ -30,8 +30,11 @@ for e in entries:
     hi = "inf" if np.isinf(e.a_high) else f"{e.a_high:.4f}"
     print(f"  A in [{e.a_low:9.4f}, {hi:>9}) -> {e.active.to_json()}")
 
-# Pointwise queries inside the intervals reproduce the decomposition. A
-# breakpoint is a rounded crossing, so exactly at one the two may differ.
+# Pointwise queries reproduce the decomposition at every float level,
+# breakpoints included: each a_low is the least level whose weight
+# A * sigma^2 reaches the exact crossing, where the smaller set wins.
+for e in entries:
+    assert active_set(theta, e.a_low, sigma).active == path_lookup(entries, e.a_low) == e.active
 for level in (0.0, 1.0, 5.0, 30.0):
     res = active_set(theta, level, sigma)
     assert res.active == path_lookup(entries, level)

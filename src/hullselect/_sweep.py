@@ -65,26 +65,6 @@ def order_by_score(v: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(v, dtype=float), kind="stable")
 
 
-def kahan_suffix_sums(values_desc: np.ndarray) -> np.ndarray:
-    """Suffix sums of a descending-magnitude array via compensated summation.
-
-    Returns s with s[k] = sum(values_desc[k:]) and s[n] = 0, accumulated
-    from the small tail upward so the running compensation stays effective.
-    """
-    n = len(values_desc)
-    out = np.empty(n + 1, dtype=float)
-    out[n] = 0.0
-    total = 0.0
-    comp = 0.0
-    for k in range(n - 1, -1, -1):
-        y = float(values_desc[k]) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out[k] = total
-    return out
-
-
 def exact_minimizers(
     approx: np.ndarray,
     err: np.ndarray,

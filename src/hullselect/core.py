@@ -26,11 +26,11 @@ class DimensionError(ValueError):
 
 
 def check_sigma_q(sigma: float, q: float = Q_DEFAULT) -> None:
-    """Raise DomainError unless 0 < sigma, sigma*sigma is finite and q is finite."""
+    """Raise DomainError unless 0 < sigma, sigma*sigma is finite and 1 < q < inf."""
     if not (sigma > 0 and math.isfinite(sigma * sigma)):
         raise DomainError(f"sigma must be positive with a finite square, got {sigma}")
-    if not math.isfinite(q):
-        raise DomainError(f"q must be finite, got {q}")
+    if not 1 < q < math.inf:
+        raise DomainError(f"q must be finite and > 1, got {q}")
 
 
 def sparsity_penalty(k: int | float, n: int, q: float = Q_DEFAULT) -> float:

@@ -10,14 +10,16 @@ and the exact breakpoint decomposition of the half line.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from ._sweep import kahan_suffix_sums, order_by_score, penalty_vector, sweep_argmin
+from ._sweep import _penalty_bounds, order_by_score, penalty_vector, sweep_argmin
 from .core import Q_DEFAULT, DomainError, SelectionMask, check_sigma_q
 
 
@@ -25,8 +27,9 @@ def _as_signal(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.size < 1:
         raise DomainError("theta must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(theta)):
-        raise DomainError("theta must be finite")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(theta**2)):
+            raise DomainError("theta must be finite with a finite square")
     return theta
 
 
@@ -90,75 +93,73 @@ class SelectionPathEntry:
         }
 
 
-def _min_crossing(
-    k_cur: int,
-    cands: Sequence[int],
-    suffix: np.ndarray,
-    slopes: np.ndarray,
-) -> tuple[float, int]:
-    """Smallest takeover level among lines with smaller cardinality.
+def _as_ints(values: np.ndarray) -> tuple[list[int], int]:
+    """Exact integer numerators of finite floats over one power-of-two denominator."""
+    ratios = [x.as_integer_ratio() for x in values.tolist()]
+    den = max(d for _, d in ratios)
+    return [num * (den // d) for num, d in ratios], den
 
-    Ties are broken toward the smallest cardinality. Float comparisons
-    within 4 ulp are re-done in exact rational arithmetic on the stored
-    line coefficients, so envelope degeneracies (several lines meeting at
-    one point) resolve identically everywhere.
-    """
-    nums, dens, ks, crossings = [], [], [], []
-    for k in cands:
-        if k >= k_cur:
-            continue
-        num = float(suffix[k] - suffix[k_cur])
-        den = float(slopes[k_cur] - slopes[k])
-        nums.append(num)
-        dens.append(den)
-        ks.append(k)
-        crossings.append(num / den)
-    a_min = min(crossings)
-    tol = 4.0 * math.ulp(abs(a_min))
-    near = [i for i, c in enumerate(crossings) if c - a_min <= tol]
-    if len(near) > 1:
-        exact = [Fraction(nums[i]) / Fraction(dens[i]) for i in near]
-        lo = min(exact)
-        near = [near[i] for i, e in enumerate(exact) if e == lo]
-    i_best = min(near, key=lambda i: ks[i])
-    return crossings[i_best], ks[i_best]
+
+def _least_level(w: Fraction, s2: float) -> float:
+    """Smallest float a with a finite fl(a * s2) >= w > 0; inf if there is none."""
+    if s2 == 0 or w > sys.float_info.max:
+        return math.inf
+    top = float(w)  # fl(a * s2) reaches w iff it reaches top, the least float >= w
+    if top < w:
+        top = math.nextafter(top, math.inf)
+    # x rounds to top or above iff x > mid, or x == mid and top's mantissa is even
+    mid = (Fraction(top) + Fraction(math.nextafter(top, 0.0))) / 2
+    bound = mid / Fraction(s2)
+    a = float(min(bound, sys.float_info.max))  # a bound past the range steps to inf
+    if a < bound or (a == bound and float(mid) < top):
+        a = math.nextafter(a, math.inf)
+    return a
 
 
 def active_set_path(theta, sigma: float, q: float = Q_DEFAULT) -> list[SelectionPathEntry]:
     """Breakpoint decomposition of the penalty half line [0, inf).
 
-    Each candidate cardinality contributes an affine function of the level
-    (suffix energy plus slope sigma^2 * penalty(k)); the path is the lower
-    envelope of those lines. Intervals are half open on the right, matching
-    the right continuity of the active-set size. Inside an interval,
-    :func:`path_lookup` reproduces :func:`active_set`. A breakpoint
-    ``a_low`` is a float rounding of the exact crossing and can fall on its
-    near side, so within a few ulps of ``a_low`` the two can disagree.
+    The path is the lower envelope of the lines S(k) + w * p[k] in the
+    weight w = fl(level * sigma^2) of :func:`active_set`: S(k) is the energy
+    outside the k largest fl(theta^2) and p the float penalty vector. It is
+    built as the lower convex hull of the points (p[k], S(k)) (Andrew's
+    monotone chain) in exact integers. A crossing goes to the smaller set
+    and ``a_low`` is the least float level whose weight reaches it, so
+    :func:`path_lookup` equals :func:`active_set` at every float level.
     """
     theta = _as_signal(theta)
     check_sigma_q(sigma, q)
     n = len(theta)
+    if _penalty_bounds(n, q)[0] <= 0:
+        raise DomainError(f"q = {q} is too small: the penalty must increase strictly up to k = {n}")
     v = theta**2
     order = order_by_score(v)
-    sorted_v = v[order]
-    suffix = kahan_suffix_sums(sorted_v)
-    slopes = sigma**2 * penalty_vector(n, q)
-    cands = [0] + [k for k in range(1, n + 1) if k == n or sorted_v[k - 1] > sorted_v[k]]
+    scores, den_s = _as_ints(v[order])
+    pen, den_p = _as_ints(penalty_vector(n, q))
+    suffix = list(accumulate(reversed(scores), initial=0))[::-1]
 
-    # At level 0 the criterion is the suffix energy alone; the zero-energy
-    # candidate with the smallest index sum is the support.
-    k_cur = next(k for k in cands if suffix[k] == suffix[n])
-    a_cur = 0.0
+    def cross(a: int, b: int, c: int) -> int:  # (b - a) x (c - a) in the (p, S) plane
+        return (pen[b] - pen[a]) * (suffix[c] - suffix[a]) - (suffix[b] - suffix[a]) * (pen[c] - pen[a])
+
+    # At level 0 the smallest zero-energy set wins; larger k never win after.
+    hull: list[int] = []
+    for k in range(suffix.index(0) + 1):
+        while len(hull) >= 2 and cross(hull[-2], hull[-1], k) <= 0:
+            hull.pop()
+        hull.append(k)
+
+    a_cur, k_cur = 0.0, hull.pop()
     entries: list[SelectionPathEntry] = []
-    while k_cur > 0:
-        a_next, k_next = _min_crossing(k_cur, cands, suffix, slopes)
-        a_next = max(a_next, a_cur)
-        if a_next > a_cur:
+    for k in reversed(hull):  # a crossing no finite level reaches ends the path
+        w = Fraction((suffix[k] - suffix[k_cur]) * den_p, (pen[k_cur] - pen[k]) * den_s)
+        a = _least_level(w, sigma**2)
+        if a > a_cur:
             active = SelectionMask.from_indices(order[:k_cur] + 1, n)
-            entries.append(SelectionPathEntry(a_cur, a_next, active))
-            a_cur = a_next
-        k_cur = k_next
-    entries.append(SelectionPathEntry(a_cur, math.inf, SelectionMask.empty(n)))
+            entries.append(SelectionPathEntry(a_cur, a, active))
+            a_cur = a
+        k_cur = k
+    if a_cur < math.inf:
+        entries.append(SelectionPathEntry(a_cur, math.inf, SelectionMask.empty(n)))
     return entries
 
 
@@ -203,8 +204,9 @@ def strong_signal_vector(
     """
     if not (1 <= s <= n):
         raise DomainError(f"s must lie in [1, {n}], got {s}")
-    if not (level > 0 and sigma > 0):
-        raise DomainError("level and sigma must be positive")
+    if not level > 0:
+        raise DomainError(f"level must be positive, got {level}")
+    check_sigma_q(sigma, q)
     magnitude = sigma * math.sqrt(level * math.log(q * n / s) * (1.0 + 1e-9))
     if isinstance(signs, str):
         if signs == "positive":

@@ -1,10 +1,11 @@
 """Noise intensity sigma and penalty base q are checked once, at every entry point.
 
-sigma must be positive with a finite square and q must be finite; anything
-else is a DomainError from the library and exit code 2 from the CLI, never a
+sigma must be positive with a finite square and q must be finite and > 1
+(the penalty k*log(q*n/k) needs q*n/k > 1 up to k = n); anything else is a DomainError from the library and exit code 2 from the CLI, never a
 raw OverflowError or an empty-sequence ValueError.
 """
 
+import json
 import math
 
 import pytest
@@ -22,7 +23,7 @@ from hullselect import (
 from hullselect.cli import main
 
 BAD_SIGMAS = [0.0, -1.0, math.nan, math.inf, 1e155]
-BAD_QS = [math.nan, math.inf]
+BAD_QS = [math.nan, math.inf, 0.5, 1.0, 0.0, -1.0]
 X = [1.0, 2.0]
 
 ENTRY_POINTS = {
@@ -83,3 +84,29 @@ def test_cli_select_exit_code_2(capsys, tmp_path, sigma):
     xs.write_text("1.0\n2.0\n")
     assert main(["select", "--input", str(xs), "--sigma", sigma, "--K", "4"]) == 2
     assert "sigma" in capsys.readouterr().err
+
+
+def test_cli_path_overflowing_theta_exit_code_2(capsys, tmp_path):
+    theta = tmp_path / "theta.json"
+    theta.write_text("[1e200, 1.0]")
+    assert main(["path", "--theta", str(theta), "--sigma", "1"]) == 2
+    assert "theta" in capsys.readouterr().err
+
+
+def test_cli_simulate_q_below_one_exit_code_2(capsys, tmp_path):
+    config = {
+        "n": 30,
+        "sigma": 1.0,
+        "K": 4.0,
+        "q": 0.5,
+        "signal": {"s": 3, "A": 16.0},
+        "replications": 4,
+        "master_seed": 7,
+        "oracle_A": 16.0,
+    }
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert "q must be" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hullselect import (
     DomainError,
@@ -17,6 +18,24 @@ from hullselect import (
 )
 
 from conftest import brute_force_argmin
+
+signed_ints = st.lists(st.integers(-9, 9).map(float), min_size=1, max_size=40)
+signed_dyadics = st.lists(
+    st.tuples(st.integers(-64, 64), st.integers(-4, 4)).map(lambda t: math.ldexp(t[0], t[1])),
+    min_size=1,
+    max_size=40,
+)
+# Few distinct magnitudes, so most coordinates tie.
+duplicated = st.lists(st.sampled_from([0.0, 0.5, -1.0, 1.5, 2.0, -2.0]), min_size=1, max_size=40)
+sigmas = st.integers(-3, 3).map(lambda j: 2.0**j) | st.floats(0.1, 10.0)
+
+
+def assert_exact_at_breakpoints(theta, sigma, entries, q=Q_DEFAULT):
+    """path_lookup equals the exact active_set at every a_low and one ulp below it."""
+    for e in entries:
+        for level in (e.a_low, math.nextafter(e.a_low, 0.0)):
+            expect = active_set(theta, level, sigma, q).active
+            assert path_lookup(entries, level) == expect, (list(theta), sigma, level)
 
 
 class TestActiveSet:
@@ -228,15 +247,59 @@ class TestActiveSetPath:
 
     def test_agrees_near_breakpoints(self):
         rng = np.random.default_rng(16)
-        for _ in range(40):
-            n = int(rng.integers(2, 13))
-            theta = rng.normal(0, 3, n)
-            entries = active_set_path(theta, 1.0)
+        cases = [(rng.normal(0, 3, int(rng.integers(2, 13))), 1.0) for _ in range(40)]
+        cases += [(rng.normal(0, 1, n), float(rng.uniform(0.2, 3.0))) for n in (100, 300, 500)]
+        for theta, sigma in cases:
+            entries = active_set_path(theta, sigma)
+            assert_exact_at_breakpoints(theta, sigma, entries)
             for e in entries[1:]:
                 at = e.a_low
                 assert path_lookup(entries, at) == e.active
                 for level in (at * (1 - 1e-9), at * (1 + 1e-9)):
-                    assert path_lookup(entries, level) == active_set(theta, level, 1.0).active
+                    assert path_lookup(entries, level) == active_set(theta, level, sigma).active
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(signed_ints, signed_dyadics, duplicated), sigmas)
+    def test_agrees_at_breakpoints_tie_heavy(self, theta, sigma):
+        assert_exact_at_breakpoints(theta, sigma, active_set_path(theta, sigma))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "theta, sigma, sets",
+        [
+            ([1.0, 2.0], 1e154, [(1, 2), (2,), ()]),  # sigma^2 * penalty overflows
+            ([1.0, 2.0], 1e-160, [(1, 2)]),  # sigma^2 subnormal: no finite level empties it
+            ([1.0, 2.0], 1e-300, [(1, 2)]),  # sigma^2 is 0
+            # the crossing weight 2^-1075 is a rounding midpoint: at A = 2^-1073 the
+            # weight A * sigma^2 rounds to the even 0, so a_low is one ulp higher
+            ([2.0**-537], 0.5, [(1,), ()]),
+        ],
+    )
+    def test_extreme_inputs(self, theta, sigma, sets):
+        entries = active_set_path(theta, sigma)
+        assert [e.active.indices for e in entries] == sets
+        assert entries[0].a_low == 0.0 and math.isinf(entries[-1].a_high)
+        assert_exact_at_breakpoints(theta, sigma, entries)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_square_is_domain_error(self):
+        for call in (
+            lambda: active_set_path([1e200, 1.0], 1.0),
+            lambda: active_set([1e200, 1.0], 1.0, 1.0),
+            lambda: variable_selection_path([1.0, -1e155]),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+    def test_falling_penalty_is_domain_error(self):
+        # for q in (1, e) the float penalty k*log(q*n/k) falls beyond k = q*n/e
+        theta = np.random.default_rng(18).normal(0, 1, 8)
+        with pytest.raises(DomainError):
+            active_set_path(theta, 1.0, q=1.5)
+        # with n = 1 the penalty [0, log(1.5)] still increases
+        entries = active_set_path([2.0], 1.0, q=1.5)
+        assert [e.active.indices for e in entries] == [(1,), ()]
+        assert_exact_at_breakpoints([2.0], 1.0, entries, q=1.5)
 
     def test_lookup_domain(self):
         entries = active_set_path([1.0, 0.0], 1.0)
