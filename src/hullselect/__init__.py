@@ -22,6 +22,7 @@ from .bounds import (
     std_normal_cdf,
 )
 from .core import (
+    ConfigError,
     DimensionError,
     DomainError,
     ObservationVector,
@@ -31,7 +32,6 @@ from .core import (
     sparsity_penalty,
 )
 from .harness import (
-    ConfigError,
     ExperimentConfig,
     ExperimentReport,
     RepRecord,

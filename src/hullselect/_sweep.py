@@ -32,6 +32,7 @@ the scores at or above that floor need sorting.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -136,6 +137,16 @@ def sweep_argmin(
         order = order_by_score(v)
     top = v[order]
     m = len(top)
+    # Every float sum below exceeds its exact value by less than 2^-20 of it.
+    # The sorted scores sum to at most m * top[0] and the others lie below
+    # the floor; only near the float limit are the scores summed, scaled by
+    # 2^-64 so that the sum cannot overflow.
+    total = (m * float(top[0]) if m else 0.0) + (n - m) * floor
+    penalty = abs(float(weight)) * max_abs
+    if not (total + penalty) * (1 + 2.0**-20) <= sys.float_info.max:
+        total = float(np.sum(v * 2.0**-64)) * 2.0**64
+        if not (total + penalty) * (1 + 2.0**-20) <= sys.float_info.max:
+            raise DomainError("the sum of the scores and the penalty term overflows")
 
     # D(k) = sum(top[k:]) + w*p[k] differs from C(k) by the sum of the
     # unsorted scores, a constant. Recursive summation of the suffix and
@@ -147,7 +158,7 @@ def sweep_argmin(
     # suffix part stays per k, so a zero suffix with w = 0 has bound 0.
     err = suffix * ((m + 4) * _REL)
     if weight != 0:
-        err += (abs(weight) * max_abs * (m + 4)) * _REL + _TINY
+        err += abs(weight) * max_abs * ((m + 4) * _REL) + _TINY
 
     def exact(cands: np.ndarray) -> list[Fraction]:
         # D(k) - sum(top[a:]) for the anchor a = largest candidate.

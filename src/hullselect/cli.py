@@ -16,14 +16,8 @@ import numpy as np
 
 from ._version import __version__
 from .bounds import PHASE_CSV_HEADER, phase_row_csv, phase_table
-from .core import DimensionError, DomainError, ObservationVector
-from .harness import (
-    PER_REP_CSV_HEADER,
-    ConfigError,
-    experiment_config_from_json,
-    run_experiment,
-    write_outputs,
-)
+from .core import ConfigError, DimensionError, DomainError, ObservationVector, built, typed
+from .harness import PER_REP_CSV_HEADER, experiment_config_from_json, run_experiment, write_outputs
 from .noise import noise_model_from_spec, tail_decay_diagnostic
 from .oracle import active_set, active_set_path
 from .selector import SelectorConfig, select
@@ -35,9 +29,7 @@ def _read_vector(path: str) -> np.ndarray:
     if path.endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
-        if not isinstance(data, list):
-            raise ConfigError("input", f"{path}: expected a JSON array of numbers")
-        return np.asarray(data, dtype=float)
+        return np.array([typed(x, float, "input") for x in typed(data, list, "input")])
     values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -118,7 +110,7 @@ def _cmd_noise_check(args) -> int:
     if not text.lstrip().startswith("{"):
         with open(text) as fh:
             text = fh.read()
-    model = noise_model_from_spec(json.loads(text))
+    model = built("noise", noise_model_from_spec, json.loads(text))
     report = tail_decay_diagnostic(
         model,
         n=args.n,
@@ -139,16 +131,14 @@ def _cmd_uq(args) -> int:
         header = fh.readline().strip()
         if header != PER_REP_CSV_HEADER:
             raise ConfigError("reps-in", f"unexpected CSV header {header!r}")
-        cols = header.split(",")
-        i_pre = cols.index("preselector_size")
-        i_ham = cols.index("hamming")
-        i_act = cols.index("active_size")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            records.append((int(parts[i_pre]), int(parts[i_ham]), int(parts[i_act])))
+        for lineno, line in enumerate(fh, 2):
+            if line.strip():
+                row = typed(
+                    line.strip().split(","), list, f"reps-in line {lineno}",
+                    lambda row: len(row) == 7 and all(c.isdecimal() for c in row), "7 counts"
+                )
+                _, _, _, _, pre, act, ham = map(int, row)
+                records.append((pre, ham, act))
     cfg = UqConfig(alpha4_prime=args.alpha4_prime, m1_prime=args.m1_prime)
     cover_fail, size_exceed = evaluate_uq_counts(records, args.n, cfg)
     _emit(json.dumps(uq_report_dict(cover_fail, size_exceed, cfg), indent=2) + "\n", args.out)
@@ -230,7 +220,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, DimensionError, json.JSONDecodeError) as exc:
+    except (DomainError, DimensionError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

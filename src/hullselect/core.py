@@ -8,6 +8,8 @@ tuple of ints plus the ambient dimension.
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,19 +17,68 @@ import numpy as np
 
 # Penalty base constant: exp(2), natural log throughout.
 Q_DEFAULT = math.exp(2.0)
+# The largest float whose square is finite.
+ROOT_MAX = math.sqrt(sys.float_info.max)
 
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
+class ConfigError(DomainError):
+    """Invalid outside value (config, spec or input file); ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"config field '{field}': {message}")
+
+
 class DimensionError(ValueError):
     """Objects with mismatched ambient dimension were combined."""
 
 
+def typed(value, kind: type, field: str, ok=None, need: str = ""):
+    """Read one outside value as ``kind``, or raise ConfigError naming ``field``.
+
+    ``int`` takes an integral number and ``float`` any number, booleans
+    excluded in both; ``str``, ``list`` and ``dict`` must match exactly. The
+    optional range test ``ok`` is reported as "must be <need>".
+    """
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    elif kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not kind:
+        got = f"expected {kind.__name__}, got {reprlib.repr(value)}"
+        raise ConfigError(field, "missing" if value is None else got)
+    if ok is not None and not ok(value):
+        raise ConfigError(field, f"must be {need}, got {reprlib.repr(value)}")
+    return value
+
+
+def built(field: str, make, *args):
+    """``make(*args)``, with a plain DomainError reported as ConfigError(field)."""
+    try:
+        return make(*args)
+    except ConfigError:
+        raise
+    except DomainError as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
+def finite_vector(x, name: str) -> np.ndarray:
+    """``x`` as a nonempty 1-d float array whose squares are finite, else DomainError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        raise DomainError(f"{name} must be a nonempty 1-d vector")
+    if not (-ROOT_MAX <= x.min() and x.max() <= ROOT_MAX):
+        raise DomainError(f"{name} must be finite with a finite square")
+    return x
+
+
 def check_sigma_q(sigma: float, q: float = Q_DEFAULT) -> None:
     """Raise DomainError unless 0 < sigma, sigma*sigma is finite and 1 < q < inf."""
-    if not (sigma > 0 and math.isfinite(sigma * sigma)):
+    if not 0 < sigma <= ROOT_MAX:
         raise DomainError(f"sigma must be positive with a finite square, got {sigma}")
     if not 1 < q < math.inf:
         raise DomainError(f"q must be finite and > 1, got {q}")
@@ -123,13 +174,8 @@ class ObservationVector:
     sigma: float
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or x.size < 1:
-            raise DomainError("x must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(x)):
-            raise DomainError("x must be finite")
+        object.__setattr__(self, "x", finite_vector(self.x, "x"))
         check_sigma_q(self.sigma)
-        object.__setattr__(self, "x", x)
 
     @property
     def n(self) -> int:

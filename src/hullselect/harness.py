@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ._version import __version__
-from .core import Q_DEFAULT, ObservationVector, SelectionMask
+from .core import Q_DEFAULT, ConfigError, ObservationVector, SelectionMask, built, typed
 from .metrics import DEFAULT_KFWER_KS, ConfusionCounts, RateReport, aggregate, confusion
 from .noise import NoiseModel, noise_model_from_spec, sample_noise
 from .oracle import active_set, has_distinct_active_set, strong_signal_vector
@@ -30,14 +30,6 @@ PER_REP_CSV_HEADER = "rep,false_pos,false_neg,selected_size,preselector_size,act
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; ``field`` identifies the offender."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"config field '{field}': {message}")
 
 
 def _mix64(z: int) -> int:
@@ -71,18 +63,13 @@ class ExperimentConfig:
 
     def resolve_theta(self) -> np.ndarray:
         """Materialize the signal vector, deterministically under master_seed."""
-        spec = self.signal
-        if "theta" in spec:
-            theta = np.asarray(spec["theta"], dtype=float)
-            if theta.shape != (self.n,):
-                raise ConfigError("signal.theta", f"expected length {self.n}, got {theta.shape}")
-            return theta
-        signs = spec.get("signs", "positive")
+        signal = _read_signal(self.signal, self.n)
+        if isinstance(signal, np.ndarray):
+            return signal
+        s, level, signs = signal
         if signs == "random":
             signs = np.random.default_rng(stream_seed(self.master_seed, 0))
-        return strong_signal_vector(
-            self.n, int(spec["s"]), float(spec["A"]), self.sigma, signs, self.q
-        )
+        return strong_signal_vector(self.n, s, level, self.sigma, signs, self.q)
 
     def echo(self) -> dict:
         out = {
@@ -103,89 +90,55 @@ class ExperimentConfig:
         return out
 
 
-def _require(d: dict, key: str, kind, field: str | None = None):
-    field = field or key
-    if key not in d:
-        raise ConfigError(field, "missing")
-    try:
-        return kind(d[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(field, f"expected {kind.__name__}: {exc}") from exc
+def _read_signal(spec: dict, n: int) -> np.ndarray | tuple:
+    """The explicit theta of a signal spec, or the (s, A, signs) of a strong signal."""
+    if "theta" in spec:
+        theta = typed(spec["theta"], list, "signal.theta", lambda t: len(t) == n, f"of length {n}")
+        return np.array([typed(t, float, "signal.theta") for t in theta])
+    s = typed(spec["s"], int, "signal.s", lambda s: 1 <= s <= n, f"in [1, {n}]")
+    signs = spec.get("signs", "positive")
+    if not isinstance(signs, str):
+        signs = [typed(sign, float, "signal.signs") for sign in typed(signs, list, "signal.signs")]
+    return s, typed(spec["A"], float, "signal.A"), signs
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    n = _require(d, "n", int)
-    sigma = _require(d, "sigma", float)
-    k_const = _require(d, "K", float)
-    reps = _require(d, "replications", int)
-    seed = _require(d, "master_seed", int)
-    oracle_level = _require(d, "oracle_A", float)
-    if n < 1:
-        raise ConfigError("n", f"must be >= 1, got {n}")
-    if not sigma > 0:
-        raise ConfigError("sigma", f"must be positive, got {sigma}")
-    if not k_const > 0:
-        raise ConfigError("K", f"must be positive, got {k_const}")
-    if reps < 1:
-        raise ConfigError("replications", f"must be >= 1, got {reps}")
-    if oracle_level < 0:
-        raise ConfigError("oracle_A", f"must be >= 0, got {oracle_level}")
-
-    signal = d.get("signal")
-    if not isinstance(signal, dict) or not ({"theta"} <= set(signal) or {"s", "A"} <= set(signal)):
-        raise ConfigError("signal", "need either {'theta': [...]} or {'s': ..., 'A': ...}")
-    if "s" in signal and not (1 <= int(signal["s"]) <= n):
-        raise ConfigError("signal.s", f"must lie in [1, {n}], got {signal['s']}")
-
-    try:
-        noise = noise_model_from_spec(d.get("noise", {"variant": "iid-gaussian"}))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError("noise", str(exc)) from exc
-
-    theta_check = None
-    if d.get("theta_check") is not None:
-        pair = d["theta_check"]
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ConfigError("theta_check", "expected a two-element [A0, A1] list")
-        a0, a1 = float(pair[0]), float(pair[1])
-        if not (0 <= a0 <= a1):
+    d = typed(d, dict, "<root>")
+    n = typed(d.get("n"), int, "n", lambda n: n >= 1, ">= 1")
+    signal = typed(
+        d.get("signal"), dict, "signal",
+        lambda sig: "theta" in sig or {"s", "A"} <= set(sig), "an object with 'theta', or 's' and 'A'"
+    )
+    _read_signal(signal, n)  # fail here; the echo keeps the spec as written
+    theta_check = d.get("theta_check")
+    if theta_check is not None:
+        pair = typed(theta_check, list, "theta_check", lambda p: len(p) == 2, "a pair [A0, A1]")
+        theta_check = tuple(typed(a, float, "theta_check") for a in pair)
+        if not 0 <= theta_check[0] <= theta_check[1]:
             raise ConfigError("theta_check", f"need 0 <= A0 <= A1, got {pair}")
-        theta_check = (a0, a1)
-
-    uq_spec = d.get("uq", {})
-    try:
-        uq = UqConfig(
-            alpha4_prime=float(uq_spec.get("alpha4_prime", 1.0)),
-            m1_prime=float(uq_spec.get("m1_prime", 4.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError("uq", str(exc)) from exc
-
-    ks = d.get("kfwer_ks", list(DEFAULT_KFWER_KS))
-    if not (isinstance(ks, (list, tuple)) and all(int(k) >= 1 for k in ks)):
-        raise ConfigError("kfwer_ks", f"expected a list of positive integers, got {ks!r}")
-
-    output = d.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("output", "expected an object with 'report'/'reps' paths")
-
+    uq = typed(d.get("uq", {}), dict, "uq")
+    ks = typed(d.get("kfwer_ks", list(DEFAULT_KFWER_KS)), list, "kfwer_ks")
+    output = typed(d.get("output", {}), dict, "output")
+    report, reps = output.get("report"), output.get("reps")
     return ExperimentConfig(
         n=n,
-        sigma=sigma,
-        K=k_const,
+        sigma=typed(d.get("sigma"), float, "sigma", lambda v: v > 0, "positive"),
+        K=typed(d.get("K"), float, "K", lambda v: v > 0, "positive"),
         signal=signal,
-        noise=noise,
-        replications=reps,
-        master_seed=seed,
-        oracle_level=oracle_level,
+        noise=built("noise", noise_model_from_spec, d.get("noise", {"variant": "iid-gaussian"})),
+        replications=typed(d.get("replications"), int, "replications", lambda v: v >= 1, ">= 1"),
+        master_seed=typed(d.get("master_seed"), int, "master_seed"),
+        oracle_level=typed(d.get("oracle_A"), float, "oracle_A", lambda v: v >= 0, ">= 0"),
         theta_check=theta_check,
-        uq=uq,
-        kfwer_ks=tuple(int(k) for k in ks),
-        q=float(d.get("q", Q_DEFAULT)),
-        report_path=output.get("report"),
-        reps_path=output.get("reps"),
+        uq=built(
+            "uq", UqConfig,
+            typed(uq.get("alpha4_prime", 1.0), float, "uq.alpha4_prime"),
+            typed(uq.get("m1_prime", 4.0), float, "uq.m1_prime"),
+        ),
+        kfwer_ks=tuple(typed(k, int, "kfwer_ks", lambda k: k >= 1, ">= 1") for k in ks),
+        q=typed(d.get("q", Q_DEFAULT), float, "q"),
+        report_path=None if report is None else typed(report, str, "output.report"),
+        reps_path=None if reps is None else typed(reps, str, "output.reps"),
     )
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError
+from .core import ConfigError, DomainError, typed
 
 
 class NoiseModel(ABC):
@@ -117,22 +117,26 @@ def sample_noise(model: NoiseModel, n: int, rng: np.random.Generator) -> np.ndar
     return model.sample(n, rng)
 
 
-def noise_model_from_spec(spec: dict) -> NoiseModel:
-    """Parse the tagged-object JSON form, e.g. {"variant": "ar1", "rho": 0.5}."""
-    if not isinstance(spec, dict) or "variant" not in spec:
-        raise DomainError(f"noise spec must be an object with a 'variant' key: {spec!r}")
-    variant = spec["variant"]
+def noise_model_from_spec(spec: dict, field: str = "noise") -> NoiseModel:
+    """Parse the tagged-object JSON form, e.g. {"variant": "ar1", "rho": 0.5}.
+
+    A malformed spec raises ConfigError naming ``field`` or its offending key;
+    a well-typed value out of a model's range raises that model's DomainError.
+    """
+    spec = typed(spec, dict, field)
+    variant = spec.get("variant")
     if variant == "iid-gaussian":
         return IidGaussian()
     if variant == "ar1":
-        return Ar1(rho=float(spec["rho"]))
+        return Ar1(rho=typed(spec.get("rho"), float, f"{field}.rho"))
     if variant == "bounded-uniform":
-        return BoundedUniform(b=float(spec["b"]))
+        return BoundedUniform(b=typed(spec.get("b"), float, f"{field}.b"))
     if variant == "rademacher":
         return Rademacher()
     if variant == "mean-of-m":
-        return MeanOf(inner=noise_model_from_spec(spec["inner"]), m=int(spec["m"]))
-    raise DomainError(f"unknown noise variant {variant!r}")
+        inner = noise_model_from_spec(spec.get("inner"), f"{field}.inner")
+        return MeanOf(inner=inner, m=typed(spec.get("m"), int, f"{field}.m"))
+    raise ConfigError(field, f"unknown noise variant {variant!r}")
 
 
 @dataclass(frozen=True)

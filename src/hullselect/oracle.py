@@ -20,17 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ._sweep import _penalty_bounds, order_by_score, penalty_vector, sweep_argmin
-from .core import Q_DEFAULT, DomainError, SelectionMask, check_sigma_q
-
-
-def _as_signal(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size < 1:
-        raise DomainError("theta must be a nonempty 1-d vector")
-    with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(theta**2)):
-            raise DomainError("theta must be finite with a finite square")
-    return theta
+from .core import Q_DEFAULT, DomainError, SelectionMask, check_sigma_q, finite_vector
 
 
 @dataclass(frozen=True)
@@ -49,7 +39,7 @@ def active_set(theta, level: float, sigma: float, q: float = Q_DEFAULT) -> Activ
     indices is returned. Level 0 yields the full support. The result
     depends on (level, sigma) only through level*sigma^2.
     """
-    theta = _as_signal(theta)
+    theta = finite_vector(theta, "theta")
     if not (0 <= level < math.inf):
         raise DomainError(f"level must be finite and >= 0, got {level}")
     check_sigma_q(sigma, q)
@@ -65,7 +55,7 @@ def variable_selection_path(theta) -> list[SelectionMask]:
     n + 1 distinct sets; with no zero coordinates the last set is the
     support, otherwise the support is the last set before [n].
     """
-    theta = _as_signal(theta)
+    theta = finite_vector(theta, "theta")
     n = len(theta)
     v = theta**2
     order = order_by_score(v)
@@ -127,7 +117,7 @@ def active_set_path(theta, sigma: float, q: float = Q_DEFAULT) -> list[Selection
     and ``a_low`` is the least float level whose weight reaches it, so
     :func:`path_lookup` equals :func:`active_set` at every float level.
     """
-    theta = _as_signal(theta)
+    theta = finite_vector(theta, "theta")
     check_sigma_q(sigma, q)
     n = len(theta)
     if _penalty_bounds(n, q)[0] <= 0:

@@ -19,17 +19,11 @@ from .core import Q_DEFAULT, DomainError, ObservationVector, SelectionMask, chec
 
 @dataclass(frozen=True)
 class SelectorConfig:
-    """Penalty constant K, noise intensity, and penalty base.
-
-    ``threshold_floor_one`` switches the threshold to use max(size, 1) when
-    the preselector comes back empty, instead of the default +infinity
-    (select nothing) reading. Sensitivity studies only.
-    """
+    """Penalty constant K, noise intensity, and penalty base."""
 
     K: float
     sigma: float
     q: float = Q_DEFAULT
-    threshold_floor_one: bool = False
 
     def __post_init__(self) -> None:
         if not (0 < self.K < math.inf):
@@ -76,12 +70,12 @@ def select(obs: ObservationVector, cfg: SelectorConfig) -> SelectionResult:
     """
     pre, value = preselect(obs, cfg)
     size = pre.size
-    if size == 0 and not cfg.threshold_floor_one:
+    if size == 0:
         threshold = math.inf
     else:
-        threshold = cfg.K * cfg.sigma**2 * math.log(cfg.q * obs.n / max(size, 1))
+        threshold = cfg.K * cfg.sigma**2 * math.log(cfg.q * obs.n / size)
     selected = SelectionMask.from_indices(np.flatnonzero(obs.x**2 >= threshold) + 1, obs.n)
-    if not cfg.threshold_floor_one and not selected.as_set() <= pre.as_set():
+    if not selected.as_set() <= pre.as_set():
         raise RuntimeError("selector produced a coordinate outside the preselector")
     return SelectionResult(pre, selected, threshold, value)
 

@@ -238,3 +238,64 @@ class TestUq:
 class TestVersionFlag:
     def test_version_exits_zero(self, capsys):
         assert run_cli(capsys, "--version")[0] == 0
+
+
+SIMULATE_BASE = {
+    "n": 30,
+    "sigma": 1.0,
+    "K": 4.0,
+    "signal": {"s": 3, "A": 16.0},
+    "replications": 4,
+    "master_seed": 7,
+    "oracle_A": 16.0,
+}
+REPS_HEADER = "rep,false_pos,false_neg,selected_size,preselector_size,active_size,hamming"
+
+
+def malformed_argv(tmp_path, command, payload):
+    """argv that feeds ``payload`` to ``command`` as its config, spec, vector or CSV row."""
+    if command == "simulate":
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({**SIMULATE_BASE, **payload}))
+        return ["simulate", "--config", str(path)]
+    if command == "noise-check":
+        return ["noise-check", "--model", payload, "--C", "1", "--reps", "200", "--n", "20"]
+    if command == "select":
+        path = tmp_path / "xs.json"
+        path.write_text(payload)
+        return ["select", "--input", str(path), "--sigma", "1", "--K", "4"]
+    path = tmp_path / "reps.csv"
+    path.write_text(f"{REPS_HEADER}\n{payload}\n")
+    return ["uq", "--reps-in", str(path), "--n", "10"]
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("simulate", {"n": 1.7}, "n"),
+        ("simulate", {"n": True}, "n"),
+        ("simulate", {"replications": 2.5}, "replications"),
+        ("simulate", {"sigma": True}, "sigma"),
+        ("simulate", {"signal": {"s": "x", "A": 16.0}}, "signal.s"),
+        ("simulate", {"signal": {"s": 3, "A": "x"}}, "signal.A"),
+        ("simulate", {"theta_check": ["a", 1]}, "theta_check"),
+        ("simulate", {"kfwer_ks": ["a"]}, "kfwer_ks"),
+        ("simulate", {"q": "x"}, "q"),
+        ("simulate", {"uq": [1]}, "uq"),
+        ("simulate", {"noise": {"variant": "mean-of-m", "m": 1.5, "inner": {"variant": "rademacher"}}},
+         "noise.m"),
+        ("simulate", {"output": {"report": 5}}, "output.report"),
+        ("noise-check", '{"variant": "ar1"}', "noise.rho"),
+        ("noise-check", '{"variant": "ar1", "rho": "x"}', "noise.rho"),
+        ("noise-check", '{"variant": "mean-of-m", "m": 2}', "noise.inner"),
+        ("noise-check", '{"variant": "ar1", "rho": 5}', "noise"),
+        ("select", '[1, "a"]', "input"),
+        ("select", "[true, 2]", "input"),
+        ("uq", "1,0,0,3,x,3,0", "reps-in line 2"),
+        ("uq", "1,0,0", "reps-in line 2"),
+    ],
+)
+def test_malformed_input_exit_code_2(capsys, tmp_path, command, payload, field):
+    code, out, err = run_cli(capsys, *malformed_argv(tmp_path, command, payload))
+    assert code == 2 and out == ""
+    assert f"config field '{field}'" in err

@@ -3,6 +3,9 @@
 sigma must be positive with a finite square and q must be finite and > 1
 (the penalty k*log(q*n/k) needs q*n/k > 1 up to k = n); anything else is a DomainError from the library and exit code 2 from the CLI, never a
 raw OverflowError or an empty-sequence ValueError.
+
+Data whose squares, or whose sum of squares, overflow is a DomainError too,
+raised before numpy would warn of the overflow.
 """
 
 import json
@@ -110,3 +113,35 @@ def test_cli_simulate_q_below_one_exit_code_2(capsys, tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
     assert "q must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+OVERFLOWS = {
+    # each square is finite, their sum is not
+    "active_set_sum": lambda: active_set([1e154, 1e154], 5e307, 1.0),
+    "select_sum": lambda: select(ObservationVector([1e154, 1e154], 1.0), SelectorConfig(5e307, 1.0)),
+    # the square itself overflows (|x| > 1.34e154)
+    "select_square": lambda: select(ObservationVector([1.0, 2e154], 1.0), SelectorConfig(4.0, 1.0)),
+    "mallows_cp_square": lambda: mallows_cp(ObservationVector([-1e155], 1.0)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_overflow_is_domain_error(case):
+    with pytest.raises(DomainError):
+        OVERFLOWS[case]()
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_sums_still_run():
+    # squares near the float limit whose sum stays finite
+    x = [1e154, 0.0, 0.0, 0.0]
+    assert active_set(x, 1.0, 1.0).active.indices == (1,)
+    assert select(ObservationVector(x, 1.0), SelectorConfig(4.0, 1.0)).selected.indices == (1,)
+    assert active_set([1.2e154, 0.5e154], 0.0, 1.0).active.indices == (1, 2)  # sum 1.69e308
+    # the path works in exact integers, so the overflowing float sum does not matter
+    entries = active_set_path([1e154, 1e154], 1.0)
+    assert [(e.a_low, e.a_high, e.active.indices) for e in entries] == [
+        (0.0, 5e307, (1, 2)),
+        (5e307, math.inf, ()),
+    ]

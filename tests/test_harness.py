@@ -65,12 +65,53 @@ class TestConfigParsing:
             ({"noise": {"variant": "bogus"}}, "noise"),
             ({"theta_check": [4.0, 1.0]}, "theta_check"),
             ({"kfwer_ks": [0]}, "kfwer_ks"),
+            # wrong JSON types: each is a ConfigError naming its key, never a cast
+            ({"n": 1.7}, "n"),
+            ({"n": True}, "n"),
+            ({"replications": 2.5}, "replications"),
+            ({"sigma": True}, "sigma"),
+            ({"sigma": 10**400}, "sigma"),  # an int past the float range
+            ({"signal": {"s": "x", "A": 4.0}}, "signal.s"),
+            ({"signal": {"s": 2, "A": "x"}}, "signal.A"),
+            ({"signal": {"s": 2, "A": 4.0, "signs": ["a", 1]}}, "signal.signs"),
+            ({"signal": {"theta": [1.0, "a"]}}, "signal.theta"),
+            ({"theta_check": ["a", 1]}, "theta_check"),
+            ({"kfwer_ks": ["a"]}, "kfwer_ks"),
+            ({"q": "x"}, "q"),
+            ({"uq": [1]}, "uq"),
+            ({"uq": {"alpha4_prime": "x"}}, "uq.alpha4_prime"),
+            ({"noise": {"variant": "ar1"}}, "noise.rho"),
+            ({"noise": {"variant": "ar1", "rho": 2.0}}, "noise"),
+            ({"noise": {"variant": "mean-of-m", "m": 1.5, "inner": {"variant": "ar1", "rho": 0}}},
+             "noise.m"),
+            ({"noise": {"variant": "mean-of-m", "m": 2}}, "noise.inner"),
+            ({"output": {"report": 5}}, "output.report"),
         ],
     )
     def test_field_errors_are_identified(self, patch, field):
         with pytest.raises(ConfigError) as err:
             experiment_config_from_dict(base_config(**patch))
         assert err.value.field == field
+
+    def test_integral_floats_parse_to_the_same_config(self):
+        ints = base_config(signal={"s": 4, "A": 16}, kfwer_ks=[1, 3], theta_check=[1, 16])
+        floats = base_config(
+            n=40.0, signal={"s": 4, "A": 16}, replications=25.0, master_seed=2024.0,
+            kfwer_ks=[1.0, 3.0], theta_check=[1.0, 16.0],
+        )
+        assert experiment_config_from_dict(floats) == experiment_config_from_dict(ints)
+
+    def test_echo_keeps_the_signal_as_written(self):
+        # signal is validated, not rewritten: "A": 16 stays an int; the float
+        # fields (sigma, K, oracle_A, q, theta_check) echo as floats
+        d = base_config(sigma=1, K=4, signal={"s": 4, "A": 16, "signs": "alternating"},
+                        oracle_A=16, theta_check=[1, 16], q=8)
+        echo = experiment_config_from_dict(d).echo()  # the report's "config" block
+        assert echo["signal"] == {"s": 4, "A": 16, "signs": "alternating"}
+        assert type(echo["signal"]["A"]) is int
+        assert [echo[k] for k in ("sigma", "K", "oracle_A", "q")] == [1.0, 4.0, 16.0, 8.0]
+        assert all(type(echo[k]) is float for k in ("sigma", "K", "oracle_A", "q"))
+        assert echo["theta_check"] == [1.0, 16.0] and echo["n"] == 40
 
     def test_missing_field(self):
         d = base_config()

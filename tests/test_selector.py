@@ -157,12 +157,6 @@ class TestSelect:
             res = select(obs(x), SelectorConfig(K=float(rng.uniform(0.2, 8.0)), sigma=1.0))
             assert res.selected.as_set() <= res.preselector.as_set()
 
-    def test_threshold_floor_flag(self):
-        cfg = SelectorConfig(K=1.0, sigma=1.0, threshold_floor_one=True)
-        res = select(obs([0.0, 0.0]), cfg)
-        assert res.threshold == pytest.approx(math.log(2.0 * Q_DEFAULT))
-        assert res.selected == SelectionMask.empty(2)
-
 
 class TestMallowsCp:
     def test_examples(self):
