@@ -2,9 +2,11 @@
 
 A run fixes one signal, computes its evaluation active set once, then for
 each replication derives an independent stream from (master_seed, rep),
-draws noise, runs the selector, and records integer confusion counts. All
-aggregation happens afterwards from the ordered records, so serial and
-worker-pool execution produce byte-identical outputs.
+draws noise, runs the selector, and records integer confusion counts. Reps
+run in contiguous batches whose noise is drawn as one block, row by row
+from each rep's own stream. All aggregation happens afterwards from the
+ordered records, so serial and worker-pool execution and every batch size
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -168,32 +170,52 @@ class RepRecord:
         )
 
 
+# A batch's noise block holds at most this many coordinates (2 MiB of
+# float64), so a run's memory does not grow with its rep count.
+_BATCH_COORDS = 2**18
+# A run of fewer coordinates (reps times n) than this stays serial: below it
+# starting a worker pool costs more than the workers save.
+_POOL_MIN_COORDS = 2**20
+
+
 @dataclass(frozen=True)
 class _RepContext:
     theta: np.ndarray
-    sigma: float
-    K: float
-    q: float
+    selector: SelectorConfig
     noise: NoiseModel
     active: SelectionMask
+    master_seed: int
 
 
-def _replicate(ctx: _RepContext, job: tuple[int, int]) -> RepRecord:
-    rep, seed = job
-    rng = np.random.default_rng(seed)
-    xi = sample_noise(ctx.noise, len(ctx.theta), rng)
-    x = ctx.theta + ctx.sigma * xi
-    result = select(ObservationVector(x, ctx.sigma), SelectorConfig(ctx.K, ctx.sigma, ctx.q))
-    counts = confusion(result.selected, ctx.active)
-    return RepRecord(
-        rep=rep,
-        false_pos=counts.false_pos,
-        false_neg=counts.false_neg,
-        selected_size=counts.selected_size,
-        preselector_size=result.preselector.size,
-        active_size=counts.active_size,
-        hamming=counts.hamming,
-    )
+def _replicate(ctx: _RepContext, first: int, last: int) -> list[RepRecord]:
+    """Records of reps first..last, in order, drawn in batches of one noise block each.
+
+    Rep r draws from its own stream, seeded stream_seed(master_seed, r), so
+    its record does not depend on the batch it falls in.
+    """
+    n = len(ctx.theta)
+    sigma = ctx.selector.sigma
+    batch = max(1, _BATCH_COORDS // n)
+    records = []
+    for start in range(first, last + 1, batch):
+        reps = range(start, min(start + batch, last + 1))
+        rngs = [np.random.default_rng(stream_seed(ctx.master_seed, rep)) for rep in reps]
+        x = sample_noise(ctx.noise, n, rngs)
+        x *= sigma
+        x += ctx.theta  # x = theta + sigma * xi, rounded as for one rep
+        for rep, row in zip(reps, x):
+            result = select(ObservationVector(row, sigma), ctx.selector)
+            counts = confusion(result.selected, ctx.active)
+            records.append(RepRecord(
+                rep=rep,
+                false_pos=counts.false_pos,
+                false_neg=counts.false_neg,
+                selected_size=counts.selected_size,
+                preselector_size=result.preselector.size,
+                active_size=counts.active_size,
+                hamming=counts.hamming,
+            ))
+    return records
 
 
 _WORKER_CTX: _RepContext | None = None
@@ -205,8 +227,8 @@ def _init_worker(ctx: _RepContext) -> None:
     _WORKER_CTX = ctx
 
 
-def _replicate_in_worker(job: tuple[int, int]) -> RepRecord:
-    return _replicate(_WORKER_CTX, job)
+def _replicate_in_worker(span: tuple[int, int]) -> list[RepRecord]:
+    return _replicate(_WORKER_CTX, *span)
 
 
 def resolve_workers(explicit: int | None = None) -> int:
@@ -266,25 +288,29 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     """Run the full replication loop and aggregate every report quantity.
 
     ``workers`` overrides the HULLSELECT_THREADS policy; 1 forces serial
-    execution. Outputs are identical for any worker count because records
-    are aggregated in replication order from integer counts.
+    execution. A run of fewer than _POOL_MIN_COORDS coordinates (reps
+    times n) is serial whatever the worker count; a larger one hands the
+    workers contiguous rep ranges. Outputs are identical for any worker
+    count because records are aggregated in replication order from
+    integer counts.
     """
     t0 = time.perf_counter()
+    n_workers = resolve_workers(workers)
     theta = cfg.resolve_theta()
     active = active_set(theta, cfg.oracle_level, cfg.sigma, cfg.q).active
-    ctx = _RepContext(theta, cfg.sigma, cfg.K, cfg.q, cfg.noise, active)
-    jobs = [(rep, stream_seed(cfg.master_seed, rep)) for rep in range(1, cfg.replications + 1)]
+    ctx = _RepContext(theta, SelectorConfig(cfg.K, cfg.sigma, cfg.q), cfg.noise, active,
+                      cfg.master_seed)
 
-    n_workers = resolve_workers(workers)
-    if n_workers > 1 and cfg.replications > 1:
-        chunk = max(1, cfg.replications // (4 * n_workers))
+    reps = cfg.replications
+    if n_workers > 1 and reps > 1 and reps * cfg.n >= _POOL_MIN_COORDS:
+        span = max(1, reps // (4 * n_workers))
+        spans = [(first, min(first + span - 1, reps)) for first in range(1, reps + 1, span)]
         with ProcessPoolExecutor(
             max_workers=n_workers, initializer=_init_worker, initargs=(ctx,)
         ) as pool:
-            records = list(pool.map(_replicate_in_worker, jobs, chunksize=chunk))
+            records = [rec for part in pool.map(_replicate_in_worker, spans) for rec in part]
     else:
-        records = [_replicate(ctx, job) for job in jobs]
-    records.sort(key=lambda r: r.rep)
+        records = _replicate(ctx, 1, reps)
 
     counts = [
         ConfusionCounts(r.false_pos, r.false_neg, r.selected_size, r.active_size, cfg.n)

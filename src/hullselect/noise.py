@@ -25,6 +25,20 @@ class NoiseModel(ABC):
     @abstractmethod
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray: ...
 
+    def sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """One noise vector per generator, as the rows of a new (len(rngs), n) array.
+
+        Row j is bit-identical to ``self.sample(n, rngs[j])`` and leaves
+        ``rngs[j]`` in the same state, so a block of draws from independent
+        generators equals the draws one at a time. The caller owns the
+        returned array and may overwrite it. This default stacks ``sample``;
+        a model overrides it only where a block is faster.
+        """
+        out = np.empty((len(rngs), n))
+        for row, rng in zip(out, rngs):
+            row[:] = self.sample(n, rng)
+        return out
+
     @abstractmethod
     def to_spec(self) -> dict: ...
 
@@ -60,6 +74,19 @@ class Ar1(NoiseModel):
             prev = rho * prev + c * zi
             out.append(prev)
         return np.array(out)
+
+    def sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        # Rep j is column j of one (n, B) buffer, so the recurrence steps all
+        # reps at once down contiguous rows. Each element is rounded as in
+        # sample, fl(fl(c*z) + fl(rho*prev)), so each column equals it bitwise.
+        z = np.empty((n, len(rngs)))
+        for j, rng in enumerate(rngs):
+            z[:, j] = rng.standard_normal(n)
+        rho = self.rho
+        z[1:] *= math.sqrt(1.0 - rho**2)
+        for i in range(1, n):
+            z[i] += rho * z[i - 1]
+        return z.T
 
     def to_spec(self) -> dict:
         return {"variant": "ar1", "rho": self.rho}
@@ -106,15 +133,30 @@ class MeanOf(NoiseModel):
             acc += self.inner.sample(n, rng)
         return acc / self.m
 
+    def sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        acc = np.zeros((len(rngs), n))
+        for _ in range(self.m):
+            acc += self.inner.sample_rows(n, rngs)
+        acc /= self.m
+        return acc
+
     def to_spec(self) -> dict:
         return {"variant": "mean-of-m", "m": self.m, "inner": self.inner.to_spec()}
 
 
-def sample_noise(model: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one noise vector; deterministic given the generator state."""
+def sample_noise(
+    model: NoiseModel, n: int, rng: np.random.Generator | Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Draw one noise vector; deterministic given the generator state.
+
+    Given a list of generators, draw one row per generator instead, as
+    ``model.sample_rows`` does.
+    """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return model.sample(n, rng)
+    if isinstance(rng, np.random.Generator):
+        return model.sample(n, rng)
+    return model.sample_rows(n, rng)
 
 
 def noise_model_from_spec(spec: dict, field: str = "noise") -> NoiseModel:

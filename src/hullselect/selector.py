@@ -55,9 +55,14 @@ def preselect(obs: ObservationVector, cfg: SelectorConfig) -> tuple[SelectionMas
     to the larger cardinality. Runs in O(n log n) via the sort-and-sweep
     reduction, verified against exhaustive search in the tests.
     """
+    return _preselect(obs.x**2, cfg)
+
+
+def _preselect(x2: np.ndarray, cfg: SelectorConfig) -> tuple[SelectionMask, float]:
+    """preselect on the squared observations ``x2``."""
     weight = cfg.K * cfg.sigma**2
-    k, order, value = sweep_argmin(obs.x**2, weight, cfg.q, prefer_small=False)
-    return SelectionMask.from_indices(order[:k] + 1, obs.n), value
+    k, order, value = sweep_argmin(x2, weight, cfg.q, prefer_small=False)
+    return SelectionMask.from_indices(order[:k] + 1, len(x2)), value
 
 
 def select(obs: ObservationVector, cfg: SelectorConfig) -> SelectionResult:
@@ -68,13 +73,14 @@ def select(obs: ObservationVector, cfg: SelectorConfig) -> SelectionResult:
     selected set is checked to be a subset of the preselector, which the
     criterion guarantees for the default threshold.
     """
-    pre, value = preselect(obs, cfg)
+    x2 = obs.x**2
+    pre, value = _preselect(x2, cfg)
     size = pre.size
     if size == 0:
         threshold = math.inf
     else:
         threshold = cfg.K * cfg.sigma**2 * math.log(cfg.q * obs.n / size)
-    selected = SelectionMask.from_indices(np.flatnonzero(obs.x**2 >= threshold) + 1, obs.n)
+    selected = SelectionMask.from_indices(np.flatnonzero(x2 >= threshold) + 1, obs.n)
     if not selected.as_set() <= pre.as_set():
         raise RuntimeError("selector produced a coordinate outside the preselector")
     return SelectionResult(pre, selected, threshold, value)

@@ -214,6 +214,9 @@ def test_criterion_8_lower_bound_numerics():
 
 def test_criterion_9_simulate_determinism(tmp_path, monkeypatch):
     with criterion(9, "per-rep CSV bitwise identical: serial vs parallel vs re-run, 3 configs"):
+        # these configs lie below the pool's work threshold; drop it so that
+        # the parallel run uses the pool
+        monkeypatch.setattr("hullselect.harness._POOL_MIN_COORDS", 0)
         configs = [
             {"signal": {"s": 3, "A": 16.0}, "n": 50, "K": 4.0},
             {"signal": {"s": 5, "A": 2.0}, "n": 80, "K": 1.0},

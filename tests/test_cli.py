@@ -136,6 +136,13 @@ class TestSimulate:
         assert ja == ja2
         assert ja["rates"] != jb["rates"]
 
+    def test_bad_thread_count_exit_2(self, capsys, tmp_path, monkeypatch):
+        # this run is small enough to stay serial, yet the variable is read
+        monkeypatch.setenv("HULLSELECT_THREADS", "abc")
+        code, out, err = run_cli(capsys, "simulate", "--config", self.config(tmp_path))
+        assert code == 2 and out == ""
+        assert "config field 'HULLSELECT_THREADS'" in err
+
     def test_config_error_exit_2(self, capsys, tmp_path):
         cfg = self.config(tmp_path, K=-1.0)
         code, _, err = run_cli(capsys, "simulate", "--config", cfg)

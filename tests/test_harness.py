@@ -10,12 +10,19 @@ import pytest
 from hullselect import (
     ConfigError,
     NoiseModel,
+    ObservationVector,
+    SelectorConfig,
+    active_set,
+    confusion,
     experiment_config_from_dict,
     experiment_config_from_json,
     per_rep_csv_text,
     run_experiment,
+    sample_noise,
+    select,
     stream_seed,
 )
+from hullselect import harness
 from hullselect.harness import resolve_workers
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.schema.json").read_text())
@@ -208,7 +215,10 @@ class TestRunExperiment:
         ja.pop("wall_time_s"), jb.pop("wall_time_s")
         assert ja == jb
 
-    def test_serial_equals_parallel(self):
+    def test_serial_equals_parallel(self, monkeypatch):
+        # 40 reps at n = 40 lie below the pool's work threshold; drop it so
+        # that the workers run
+        monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 0)
         cfg = experiment_config_from_dict(base_config(replications=40))
         serial = run_experiment(cfg, workers=1)
         parallel = run_experiment(cfg, workers=4)
@@ -216,6 +226,76 @@ class TestRunExperiment:
         js, jp = json.loads(serial.to_json()), json.loads(parallel.to_json())
         js.pop("wall_time_s"), jp.pop("wall_time_s")
         assert js == jp
+
+    @pytest.mark.parametrize("noise", [
+        {"variant": "iid-gaussian"},
+        {"variant": "ar1", "rho": 0.5},
+        {"variant": "mean-of-m", "m": 2, "inner": {"variant": "ar1", "rho": -0.9}},
+    ])
+    def test_batches_leave_records_unchanged(self, monkeypatch, noise):
+        # borderline regime, so that records differ from rep to rep
+        cfg = experiment_config_from_dict(
+            base_config(signal={"s": 4, "A": 2.0}, K=1.0, replications=10, noise=noise)
+        )
+        # each rep drawn on its own by sample, as before reps were batched
+        theta = cfg.resolve_theta()
+        active = active_set(theta, cfg.oracle_level, cfg.sigma).active
+        expect = []
+        for rep in range(1, 11):
+            xi = cfg.noise.sample(cfg.n, np.random.default_rng(stream_seed(cfg.master_seed, rep)))
+            result = select(ObservationVector(theta + cfg.sigma * xi, cfg.sigma),
+                            SelectorConfig(cfg.K, cfg.sigma))
+            c = confusion(result.selected, active)
+            expect.append((rep, c.false_pos, c.false_neg, c.selected_size,
+                           result.preselector.size, c.active_size, c.hamming))
+        assert len(set(row[1:] for row in expect)) > 1
+
+        blocks = []
+
+        def recording_sample_noise(model, n, rngs):
+            blocks.append(len(rngs))
+            return sample_noise(model, n, rngs)
+
+        monkeypatch.setattr(harness, "sample_noise", recording_sample_noise)
+        # caps of 3 reps, 1 rep and all 10 reps per batch at n = 40
+        for cap, sizes in ((3 * 40, [3, 3, 3, 1]), (1, [1] * 10), (10 * 40, [10])):
+            monkeypatch.setattr(harness, "_BATCH_COORDS", cap)
+            blocks.clear()
+            records = run_experiment(cfg, workers=1).records
+            assert blocks == sizes
+            assert [dataclasses.astuple(r) for r in records] == expect
+
+    def test_pool_runs_rep_ranges_at_the_work_threshold(self, monkeypatch):
+        # an in-process stand-in for the pool records the rep ranges it gets
+        spans = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                spans.extend(jobs)
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_WORKER_CTX", None)
+        cfg = experiment_config_from_dict(
+            base_config(signal={"s": 4, "A": 2.0}, K=1.0, replications=43)
+        )
+        serial = run_experiment(cfg, workers=1).records
+        for threshold, pooled in ((43 * 40 + 1, False), (43 * 40, True)):
+            monkeypatch.setattr(harness, "_POOL_MIN_COORDS", threshold)
+            spans.clear()
+            assert run_experiment(cfg, workers=4).records == serial
+            assert bool(spans) == pooled
+        # 43 // (4 * 4) = 2 reps per range, in order, the last one short
+        assert spans == [(r, r + 1) for r in range(1, 43, 2)] + [(43, 43)]
 
     def test_seed_changes_output(self):
         # borderline regime so per-replication records actually vary

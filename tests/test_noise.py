@@ -19,17 +19,27 @@ from hullselect import (
 
 class TestSamplers:
     def test_bitwise_reproducible(self):
+        # one seed gives one vector; a block of rows, one per fresh
+        # generator, gives the same vectors byte for byte
         models = [
             IidGaussian(),
             Ar1(0.6),
             BoundedUniform(1.5),
             Rademacher(),
             MeanOf(IidGaussian(), 4),
-        ]
+        ] + [Ar1(rho) for rho in (0.0, 0.5, -0.9)] + [MeanOf(Ar1(rho), 3) for rho in (0.0, 0.5, -0.9)]
         for model in models:
             a = sample_noise(model, 200, np.random.default_rng(123))
             b = sample_noise(model, 200, np.random.default_rng(123))
             assert np.array_equal(a, b)
+            for n in (1, 2, 1000):
+                for rows in (1, 2, 7):
+                    rngs = [np.random.default_rng(123 + j) for j in range(rows)]
+                    block = sample_noise(model, n, rngs)
+                    assert block.shape == (rows, n) and block.dtype == np.float64
+                    for j, row in enumerate(block):
+                        one = model.sample(n, np.random.default_rng(123 + j))
+                        assert row.tobytes() == one.tobytes(), (model, n, rows, j)
 
     def test_ar1_zero_rho_equals_iid_stream(self):
         a = sample_noise(Ar1(0.0), 500, np.random.default_rng(9))
@@ -39,16 +49,23 @@ class TestSamplers:
     @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5])
     @pytest.mark.parametrize("n", [1, 2, 1000])
     def test_ar1_bitwise_equals_indexed_recurrence(self, rho, n):
-        # the recurrence written on numpy float64 scalars, element by element
-        z = np.random.default_rng(31).standard_normal(n)
-        expect = np.empty(n)
-        expect[0] = z[0]
+        # the recurrence written on numpy float64 scalars, element by element;
+        # row j is drawn from the generator seeded 31 + j, so sample must give
+        # row 0 and sample_rows over seeds 31.. the first `rows` rows
         c = math.sqrt(1.0 - rho**2)
-        for i in range(1, n):
-            expect[i] = rho * expect[i - 1] + c * z[i]
+        expect = np.empty((7, n))
+        for j in range(7):
+            z = np.random.default_rng(31 + j).standard_normal(n)
+            expect[j, 0] = z[0]
+            for i in range(1, n):
+                expect[j, i] = rho * expect[j, i - 1] + c * z[i]
         got = Ar1(rho).sample(n, np.random.default_rng(31))
         assert got.dtype == expect.dtype and got.shape == (n,)
-        assert got.tobytes() == expect.tobytes()
+        assert got.tobytes() == expect[0].tobytes()
+        for rows in (1, 2, 7):
+            block = Ar1(rho).sample_rows(n, [np.random.default_rng(31 + j) for j in range(rows)])
+            assert block.dtype == expect.dtype and block.shape == (rows, n)
+            assert np.ascontiguousarray(block).tobytes() == expect[:rows].tobytes()
 
     def test_rademacher_support(self):
         x = sample_noise(Rademacher(), 1000, np.random.default_rng(1))
@@ -90,6 +107,8 @@ class TestSamplers:
             MeanOf(IidGaussian(), 0)
         with pytest.raises(DomainError):
             sample_noise(IidGaussian(), 0, np.random.default_rng(0))
+        with pytest.raises(DomainError):
+            sample_noise(Ar1(0.5), 0, [np.random.default_rng(0)])
 
 
 class TestSpecParsing:
