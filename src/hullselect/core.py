@@ -11,6 +11,7 @@ import math
 import reprlib
 import sys
 from dataclasses import dataclass
+from operator import lt
 from typing import Sequence
 
 import numpy as np
@@ -115,11 +116,11 @@ class SelectionMask:
         if self.n < 1:
             raise DomainError(f"mask dimension must be >= 1, got {self.n}")
         idx = self.indices
-        for j, i in enumerate(idx):
-            if not (1 <= i <= self.n):
-                raise DomainError(f"index {i} outside [1, {self.n}]")
-            if j > 0 and idx[j - 1] >= i:
-                raise DomainError("indices must be strictly increasing")
+        # with the order check below, the first and last index bound the rest
+        if idx and not (1 <= idx[0] and idx[-1] <= self.n):
+            raise DomainError(f"indices {idx[0]}..{idx[-1]} outside [1, {self.n}]")
+        if len(idx) > 1 and not all(map(lt, idx, idx[1:])):
+            raise DomainError("indices must be strictly increasing")
 
     @classmethod
     def from_indices(cls, indices: Sequence[int] | np.ndarray, n: int) -> "SelectionMask":
@@ -146,13 +147,6 @@ class SelectionMask:
 
     def as_set(self) -> frozenset[int]:
         return frozenset(self.indices)
-
-    def indicator(self) -> np.ndarray:
-        """Binary representation as an int8 0/1 vector of length n."""
-        eta = np.zeros(self.n, dtype=np.int8)
-        if self.indices:
-            eta[np.asarray(self.indices) - 1] = 1
-        return eta
 
     def to_json(self) -> list[int]:
         """Sorted 1-based index array, the JSON wire form."""

@@ -15,6 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -157,8 +158,7 @@ def path_lookup(entries: Sequence[SelectionPathEntry], level: float) -> Selectio
     """Active set at the given level according to the interval decomposition."""
     if not (0 <= level < math.inf):
         raise DomainError(f"level must be finite and >= 0, got {level}")
-    lows = [e.a_low for e in entries]
-    return entries[bisect_right(lows, level) - 1].active
+    return entries[bisect_right(entries, level, key=attrgetter("a_low")) - 1].active
 
 
 def has_distinct_active_set(

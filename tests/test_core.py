@@ -67,10 +67,14 @@ class TestSelectionMask:
             SelectionMask((2, 2), 3)
         with pytest.raises(DomainError):
             SelectionMask((3, 1), 3)
-
-    def test_indicator_roundtrip(self):
-        m = SelectionMask((1, 3), 4)
-        assert m.indicator().tolist() == [1, 0, 1, 0]
+        with pytest.raises(DomainError, match="increasing"):
+            SelectionMask((1, 3, 2), 4)
+        with pytest.raises(DomainError, match="increasing"):
+            SelectionMask((1, 2, 2, 3), 4)
+        with pytest.raises(DomainError, match="outside"):
+            SelectionMask((2, 5), 4)
+        with pytest.raises(DomainError, match="dimension"):
+            SelectionMask((), 0)
 
     def test_json_form(self):
         assert SelectionMask((2, 5), 6).to_json() == [2, 5]
@@ -105,7 +109,7 @@ class TestHamming:
             b = SelectionMask.from_indices(rng.choice(n, rng.integers(0, n + 1), replace=False) + 1, n)
             lhs = hamming_distance(a, b)
             assert lhs == len(a.as_set() - b.as_set()) + len(b.as_set() - a.as_set())
-            assert lhs == int(np.sum(a.indicator() != b.indicator()))
+            assert lhs == sum((i in a) != (i in b) for i in range(1, n + 1))
 
     @given(equal_n_mask_triples())
     def test_metric_axioms(self, triple):
