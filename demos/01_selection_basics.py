@@ -27,7 +27,7 @@ for K in (0.5, 1.0, 2.0, 4.0, 8.0):
     result = select(obs, SelectorConfig(K=K, sigma=1.0))
     got = set(result.selected.indices)
     print(
-        f"K={K:>4}: preselector size {result.preselector.size:>3}, "
+        f"K={K:>4}: preselector size {len(result.preselector):>3}, "
         f"threshold {result.threshold:7.2f}, selected {sorted(got)}, "
         f"errors {len(got ^ truth)}"
     )
@@ -40,4 +40,4 @@ print(f"\nmallows baseline: {len(baseline)} selected, errors {len(baseline ^ tru
 # The selected set is always a subset of the preselector, and an empty
 # preselector (pure noise, large K) selects nothing.
 quiet = select(ObservationVector(rng.standard_normal(n), 1.0), SelectorConfig(K=8.0, sigma=1.0))
-print(f"pure noise at K=8: preselector {quiet.preselector.size}, selected {quiet.selected.size}")
+print(f"pure noise at K=8: preselector {len(quiet.preselector)}, selected {len(quiet.selected)}")

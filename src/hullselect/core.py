@@ -135,10 +135,6 @@ class SelectionMask:
     def full(cls, n: int) -> "SelectionMask":
         return cls(tuple(range(1, n + 1)), n)
 
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
     def __contains__(self, i: int) -> bool:
         return i in self.indices
 

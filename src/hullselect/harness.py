@@ -4,7 +4,9 @@ A run fixes one signal, computes its evaluation active set once, then for
 each replication derives an independent stream from (master_seed, rep),
 draws noise, runs the selector, and records integer confusion counts. Reps
 run in contiguous batches whose noise is drawn as one block, row by row
-from each rep's own stream. All aggregation happens afterwards from the
+from each rep's own stream. The block is squared in place and each row is
+selected through the same row function as ``select``, then counted against
+the active-set indicator. All aggregation happens afterwards from the
 ordered records, so serial and worker-pool execution and every batch size
 produce byte-identical outputs.
 """
@@ -21,11 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from ._version import __version__
-from .core import Q_DEFAULT, ConfigError, ObservationVector, SelectionMask, built, typed
-from .metrics import DEFAULT_KFWER_KS, ConfusionCounts, RateReport, aggregate, confusion
+from .core import Q_DEFAULT, ConfigError, built, finite_vector, typed
+from .metrics import DEFAULT_KFWER_KS, ConfusionCounts, RateReport, aggregate
 from .noise import NoiseModel, noise_model_from_spec, sample_noise
 from .oracle import active_set, has_distinct_active_set, strong_signal_vector
-from .selector import SelectorConfig, select
+from .selector import SelectorConfig, _select_row
 from .uq import UqConfig, evaluate_uq_counts, uq_report_dict
 
 PER_REP_CSV_HEADER = "rep,false_pos,false_neg,selected_size,preselector_size,active_size,hamming"
@@ -183,7 +185,7 @@ class _RepContext:
     theta: np.ndarray
     selector: SelectorConfig
     noise: NoiseModel
-    active: SelectionMask
+    active: np.ndarray  # boolean indicator of the evaluation active set
     master_seed: int
 
 
@@ -195,6 +197,7 @@ def _replicate(ctx: _RepContext, first: int, last: int) -> list[RepRecord]:
     """
     n = len(ctx.theta)
     sigma = ctx.selector.sigma
+    active_size = int(np.count_nonzero(ctx.active))
     batch = max(1, _BATCH_COORDS // n)
     records = []
     for start in range(first, last + 1, batch):
@@ -203,18 +206,14 @@ def _replicate(ctx: _RepContext, first: int, last: int) -> list[RepRecord]:
         x = sample_noise(ctx.noise, n, rngs)
         x *= sigma
         x += ctx.theta  # x = theta + sigma * xi, rounded as for one rep
-        for rep, row in zip(reps, x):
-            result = select(ObservationVector(row, sigma), ctx.selector)
-            counts = confusion(result.selected, ctx.active)
-            records.append(RepRecord(
-                rep=rep,
-                false_pos=counts.false_pos,
-                false_neg=counts.false_neg,
-                selected_size=counts.selected_size,
-                preselector_size=result.preselector.size,
-                active_size=counts.active_size,
-                hamming=counts.hamming,
-            ))
+        finite_vector(x.ravel(order="K"), "x")  # a view of the block, not a copy
+        np.square(x, out=x)
+        for rep, x2 in zip(reps, x):
+            k, _, _, _, selected = _select_row(x2, ctx.selector)
+            true_pos = int(np.count_nonzero(ctx.active[selected]))
+            false_pos, false_neg = len(selected) - true_pos, active_size - true_pos
+            records.append(RepRecord(rep, false_pos, false_neg, len(selected), k, active_size,
+                                     false_pos + false_neg))
     return records
 
 
@@ -297,7 +296,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     t0 = time.perf_counter()
     n_workers = resolve_workers(workers)
     theta = cfg.resolve_theta()
-    active = active_set(theta, cfg.oracle_level, cfg.sigma, cfg.q).active
+    mask = active_set(theta, cfg.oracle_level, cfg.sigma, cfg.q).active
+    active = np.zeros(cfg.n, dtype=bool)
+    active[[i - 1 for i in mask.indices]] = True
     ctx = _RepContext(theta, SelectorConfig(cfg.K, cfg.sigma, cfg.q), cfg.noise, active,
                       cfg.master_seed)
 

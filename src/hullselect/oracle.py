@@ -116,7 +116,9 @@ def active_set_path(theta, sigma: float, q: float = Q_DEFAULT) -> list[Selection
     built as the lower convex hull of the points (p[k], S(k)) (Andrew's
     monotone chain) in exact integers. A crossing goes to the smaller set
     and ``a_low`` is the least float level whose weight reaches it, so
-    :func:`path_lookup` equals :func:`active_set` at every float level.
+    :func:`path_lookup` equals :func:`active_set` at every float level where
+    :func:`active_set` returns. It raises DomainError where its float sum of
+    the scores and the penalty term overflows; the path still answers there.
     """
     theta = finite_vector(theta, "theta")
     check_sigma_q(sigma, q)
@@ -155,7 +157,11 @@ def active_set_path(theta, sigma: float, q: float = Q_DEFAULT) -> list[Selection
 
 
 def path_lookup(entries: Sequence[SelectionPathEntry], level: float) -> SelectionMask:
-    """Active set at the given level according to the interval decomposition."""
+    """Active set at the given level according to the interval decomposition.
+
+    Equals :func:`active_set` wherever that returns; it raises DomainError
+    where its float sum of the scores and the penalty term overflows.
+    """
     if not (0 <= level < math.inf):
         raise DomainError(f"level must be finite and >= 0, got {level}")
     return entries[bisect_right(entries, level, key=attrgetter("a_low")) - 1].active

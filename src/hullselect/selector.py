@@ -55,14 +55,8 @@ def preselect(obs: ObservationVector, cfg: SelectorConfig) -> tuple[SelectionMas
     to the larger cardinality. Runs in O(n log n) via the sort-and-sweep
     reduction, verified against exhaustive search in the tests.
     """
-    return _preselect(obs.x**2, cfg)
-
-
-def _preselect(x2: np.ndarray, cfg: SelectorConfig) -> tuple[SelectionMask, float]:
-    """preselect on the squared observations ``x2``."""
-    weight = cfg.K * cfg.sigma**2
-    k, order, value = sweep_argmin(x2, weight, cfg.q, prefer_small=False)
-    return SelectionMask.from_indices(order[:k] + 1, len(x2)), value
+    k, order, value = sweep_argmin(obs.x**2, cfg.K * cfg.sigma**2, cfg.q, prefer_small=False)
+    return SelectionMask.from_indices(order[:k] + 1, obs.n), value
 
 
 def select(obs: ObservationVector, cfg: SelectorConfig) -> SelectionResult:
@@ -73,17 +67,29 @@ def select(obs: ObservationVector, cfg: SelectorConfig) -> SelectionResult:
     selected set is checked to be a subset of the preselector, which the
     criterion guarantees for the default threshold.
     """
-    x2 = obs.x**2
-    pre, value = _preselect(x2, cfg)
-    size = pre.size
-    if size == 0:
-        threshold = math.inf
-    else:
-        threshold = cfg.K * cfg.sigma**2 * math.log(cfg.q * obs.n / size)
-    selected = SelectionMask.from_indices(np.flatnonzero(x2 >= threshold) + 1, obs.n)
-    if not selected.as_set() <= pre.as_set():
+    k, order, value, threshold, selected = _select_row(obs.x**2, cfg)
+    pre = SelectionMask.from_indices(order[:k] + 1, obs.n)
+    return SelectionResult(pre, SelectionMask.from_indices(selected + 1, obs.n), threshold, value)
+
+
+def _select_row(x2: np.ndarray, cfg: SelectorConfig) -> tuple:
+    """select on the squared observations ``x2``, without masks.
+
+    Returns (k, order, criterion, threshold, selected): the preselector is
+    ``order[:k]`` as from sweep_argmin, and ``selected`` holds the ascending
+    0-based indices whose x2 clears the threshold. The harness calls it on
+    each row of a squared noise block.
+    """
+    weight = cfg.K * cfg.sigma**2
+    k, order, value = sweep_argmin(x2, weight, cfg.q, prefer_small=False)
+    # math.log, not np.log: the two can differ in the last bit
+    threshold = math.inf if k == 0 else weight * math.log(cfg.q * len(x2) / k)
+    clears = x2 >= threshold
+    selected = clears.nonzero()[0]
+    clears[order[:k]] = False  # what still clears lies outside the preselector
+    if np.count_nonzero(clears):
         raise RuntimeError("selector produced a coordinate outside the preselector")
-    return SelectionResult(pre, selected, threshold, value)
+    return k, order, value, threshold, selected
 
 
 def mallows_cp(obs: ObservationVector) -> SelectionMask:

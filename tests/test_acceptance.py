@@ -97,9 +97,9 @@ def test_criterion_3_convention_suite():
         res = hs.select(
             hs.ObservationVector(np.zeros(5), 1.0), hs.SelectorConfig(K=2.0, sigma=1.0)
         )
-        assert res.preselector.size == 0
+        assert len(res.preselector) == 0
         assert res.threshold == math.inf
-        assert res.selected.size == 0
+        assert len(res.selected) == 0
 
 
 def test_criterion_4_invariant_suite():
@@ -126,7 +126,7 @@ def test_criterion_4_invariant_suite():
                 if previous is not None:
                     assert inside <= previous
                 previous = inside
-                size = active.size
+                size = len(active)
                 force = level * math.log(hs.Q_DEFAULT * n / (size + 1))
                 for i in range(1, n + 1):
                     if theta[i - 1] ** 2 >= force:

@@ -143,6 +143,12 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert "config field 'HULLSELECT_THREADS'" in err
 
+    def test_observation_without_finite_square_exit_2(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, sigma=1e154, K=1.0, signal={"theta": [0.0] * 30}, oracle_A=0.0)
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 2 and out == ""
+        assert "x must be finite with a finite square" in err
+
     def test_config_error_exit_2(self, capsys, tmp_path):
         cfg = self.config(tmp_path, K=-1.0)
         code, _, err = run_cli(capsys, "simulate", "--config", cfg)

@@ -21,9 +21,11 @@ from hullselect import (
     active_set,
     active_set_path,
     mallows_cp,
+    path_lookup,
     select,
 )
 from hullselect.cli import main
+from hullselect.core import ROOT_MAX
 
 BAD_SIGMAS = [0.0, -1.0, math.nan, math.inf, 1e155]
 BAD_QS = [math.nan, math.inf, 0.5, 1.0, 0.0, -1.0]
@@ -60,7 +62,7 @@ def test_mallows_cp_bad_sigma(sigma):
 def test_largest_accepted_sigma_still_runs():
     sigma = 1e154  # sigma**2 = 1e308 is finite
     assert active_set(X, 0.0, sigma).active.indices == (1, 2)
-    assert mallows_cp(ObservationVector(X, sigma)).size == 0
+    assert len(mallows_cp(ObservationVector(X, sigma))) == 0
 
 
 @pytest.mark.parametrize(
@@ -130,6 +132,27 @@ OVERFLOWS = {
 def test_overflow_is_domain_error(case):
     with pytest.raises(DomainError):
         OVERFLOWS[case]()
+
+
+@pytest.mark.filterwarnings("error")
+def test_path_lookup_equals_active_set_wherever_it_returns():
+    # active_set sums in floats and raises where that sum overflows; the path
+    # sums in exact integers and answers at every level
+    outcomes = {}
+    for theta in ([ROOT_MAX, ROOT_MAX], [1.2e154, 0.5e154]):  # the second sum just fits
+        entries = active_set_path(theta, 1.0)
+        levels = [e.a_low for e in entries]
+        levels += [e.a_low + (e.a_high - e.a_low) / 2 for e in entries if e.a_high < math.inf]
+        seen = outcomes.setdefault(theta[0], set())
+        for level in levels:
+            try:
+                active = active_set(theta, level, 1.0).active
+            except DomainError:
+                seen.add("raised")
+                continue
+            assert active == path_lookup(entries, level)
+            seen.add("equal")
+    assert outcomes == {ROOT_MAX: {"raised"}, 1.2e154: {"equal", "raised"}}
 
 
 @pytest.mark.filterwarnings("error")

@@ -9,6 +9,7 @@ import pytest
 
 from hullselect import (
     ConfigError,
+    DomainError,
     NoiseModel,
     ObservationVector,
     SelectorConfig,
@@ -22,7 +23,7 @@ from hullselect import (
     select,
     stream_seed,
 )
-from hullselect import harness
+from hullselect import harness, selector
 from hullselect.harness import resolve_workers
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.schema.json").read_text())
@@ -227,15 +228,22 @@ class TestRunExperiment:
         js.pop("wall_time_s"), jp.pop("wall_time_s")
         assert js == jp
 
-    @pytest.mark.parametrize("noise", [
-        {"variant": "iid-gaussian"},
-        {"variant": "ar1", "rho": 0.5},
-        {"variant": "mean-of-m", "m": 2, "inner": {"variant": "ar1", "rho": -0.9}},
-    ])
-    def test_batches_leave_records_unchanged(self, monkeypatch, noise):
+    @pytest.mark.parametrize("over", [
+        {"noise": {"variant": "iid-gaussian"}},
+        {"noise": {"variant": "ar1", "rho": 0.5}},
+        {"noise": {"variant": "mean-of-m", "m": 2, "inner": {"variant": "ar1", "rho": -0.9}}},
+        # +-1 noise on zero theta coordinates: their x^2 tie exactly, above the sweep's floor
+        {"noise": {"variant": "rademacher"}, "K": 0.9, "oracle_A": 2.0},
+        # pure noise: some reps have an empty preselector and an infinite threshold
+        {"signal": {"theta": [0.0] * 40}},
+        # a small K preselects most coordinates
+        {"K": 0.05, "oracle_A": 2.0},
+        {"n": 1, "signal": {"s": 1, "A": 2.0}, "oracle_A": 2.0},
+    ], ids=["noise0", "noise1", "noise2", "rademacher-ties", "pure-noise", "small-K", "n1"])
+    def test_batches_leave_records_unchanged(self, monkeypatch, over):
         # borderline regime, so that records differ from rep to rep
         cfg = experiment_config_from_dict(
-            base_config(signal={"s": 4, "A": 2.0}, K=1.0, replications=10, noise=noise)
+            base_config(**{"signal": {"s": 4, "A": 2.0}, "K": 1.0, "replications": 10, **over})
         )
         # each rep drawn on its own by sample, as before reps were batched
         theta = cfg.resolve_theta()
@@ -247,7 +255,7 @@ class TestRunExperiment:
                             SelectorConfig(cfg.K, cfg.sigma))
             c = confusion(result.selected, active)
             expect.append((rep, c.false_pos, c.false_neg, c.selected_size,
-                           result.preselector.size, c.active_size, c.hamming))
+                           len(result.preselector), c.active_size, c.hamming))
         assert len(set(row[1:] for row in expect)) > 1
 
         blocks = []
@@ -257,13 +265,36 @@ class TestRunExperiment:
             return sample_noise(model, n, rngs)
 
         monkeypatch.setattr(harness, "sample_noise", recording_sample_noise)
-        # caps of 3 reps, 1 rep and all 10 reps per batch at n = 40
-        for cap, sizes in ((3 * 40, [3, 3, 3, 1]), (1, [1] * 10), (10 * 40, [10])):
+        # caps of 3 reps, 1 rep and all 10 reps per batch
+        for cap, sizes in ((3 * cfg.n, [3, 3, 3, 1]), (1, [1] * 10), (10 * cfg.n, [10])):
             monkeypatch.setattr(harness, "_BATCH_COORDS", cap)
             blocks.clear()
             records = run_experiment(cfg, workers=1).records
             assert blocks == sizes
             assert [dataclasses.astuple(r) for r in records] == expect
+
+    def test_selected_outside_preselector_is_runtime_error(self, monkeypatch):
+        real = selector.sweep_argmin
+
+        def dropping_top(v, weight, q, prefer_small):
+            # the lowest score takes the top score's place in the preselector,
+            # while the threshold from the same k still selects the top score
+            k, order, value = real(v, weight, q, prefer_small)
+            return k, np.r_[np.argmin(v), order[1:]], value
+
+        monkeypatch.setattr(selector, "sweep_argmin", dropping_top)
+        cfg = experiment_config_from_dict(base_config(replications=5))
+        with pytest.raises(RuntimeError, match="outside the preselector"):
+            run_experiment(cfg, workers=1)
+
+    def test_observation_without_finite_square_is_domain_error(self):
+        # sigma^2 is finite but sigma * xi passes ROOT_MAX; K = 1 and level 0
+        # keep every penalty weight finite, so only the observation overflows
+        cfg = experiment_config_from_dict(
+            base_config(sigma=1e154, K=1.0, signal={"theta": [0.0] * 40}, oracle_A=0.0)
+        )
+        with pytest.raises(DomainError, match="x must be finite with a finite square"):
+            run_experiment(cfg, workers=1)
 
     def test_pool_runs_rep_ranges_at_the_work_threshold(self, monkeypatch):
         # an in-process stand-in for the pool records the rep ranges it gets

@@ -114,7 +114,7 @@ class TestActiveSet:
             theta = rng.normal(0, 3, n)
             for level in rng.uniform(0.1, 6, 3):
                 active = active_set(theta, level, 1.0).active
-                size = active.size
+                size = len(active)
                 inside = active.as_set()
                 force = level * math.log(Q_DEFAULT * n / (size + 1))
                 for i in range(1, n + 1):
@@ -212,7 +212,7 @@ class TestActiveSetPath:
             for a, b in zip(entries, entries[1:]):
                 assert a.a_high == b.a_low
                 assert a.a_low < a.a_high
-                assert b.active.size < a.active.size  # strictly shrinking
+                assert len(b.active) < len(a.active)  # strictly shrinking
             vsp = {m.as_set() for m in variable_selection_path(theta)}
             assert all(e.active.as_set() in vsp for e in entries)
 

@@ -93,7 +93,7 @@ class TestPreselect:
             for k_const in [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]:
                 mask, crit = preselect(obs(x), SelectorConfig(K=k_const, sigma=1.0))
                 crits.append(crit)
-                sizes.append(mask.size)
+                sizes.append(len(mask))
             assert all(a <= b for a, b in zip(crits, crits[1:]))
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
@@ -141,9 +141,9 @@ class TestSelect:
             sigma = float(rng.uniform(0.5, 1.5))
             cfg = SelectorConfig(K=2.0, sigma=sigma)
             res = select(obs(x, sigma), cfg)
-            size = res.preselector.size
+            size = len(res.preselector)
             if size == 0:
-                assert res.selected.size == 0
+                assert len(res.selected) == 0
                 continue
             t = cfg.K * sigma**2 * math.log(Q_DEFAULT * n / size)
             expect = tuple(i + 1 for i in range(n) if x[i] ** 2 >= t)

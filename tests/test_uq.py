@@ -75,7 +75,7 @@ class TestEvaluate:
     def test_perfect_recovery_covers(self):
         n = 20
         m = SelectionMask((1, 2, 3), n)
-        reps = [(m.size, hamming_distance(m, m), m.size)] * 10
+        reps = [(len(m), hamming_distance(m, m), len(m))] * 10
         cover_fail, _ = evaluate_uq_counts(reps, n, UqConfig(alpha4_prime=1.0, m1_prime=4.0))
         assert cover_fail == 0.0
 
