@@ -17,7 +17,7 @@ import numpy as np
 from ._version import __version__
 from .bounds import PHASE_CSV_HEADER, phase_row_csv, phase_table
 from .core import ConfigError, DimensionError, DomainError, ObservationVector, built, typed
-from .harness import PER_REP_CSV_HEADER, experiment_config_from_json, run_experiment, write_outputs
+from .harness import experiment_config_from_json, read_per_rep_csv, run_experiment, write_outputs
 from .noise import noise_model_from_spec, tail_decay_diagnostic
 from .oracle import active_set, active_set_path
 from .selector import SelectorConfig, select
@@ -126,21 +126,10 @@ def _cmd_noise_check(args) -> int:
 
 
 def _cmd_uq(args) -> int:
-    records = []
-    with open(args.reps_in) as fh:
-        header = fh.readline().strip()
-        if header != PER_REP_CSV_HEADER:
-            raise ConfigError("reps-in", f"unexpected CSV header {header!r}")
-        for lineno, line in enumerate(fh, 2):
-            if line.strip():
-                row = typed(
-                    line.strip().split(","), list, f"reps-in line {lineno}",
-                    lambda row: len(row) == 7 and all(c.isdecimal() for c in row), "7 counts"
-                )
-                _, _, _, _, pre, act, ham = map(int, row)
-                records.append((pre, ham, act))
+    records = read_per_rep_csv(args.reps_in)
     cfg = UqConfig(alpha4_prime=args.alpha4_prime, m1_prime=args.m1_prime)
-    cover_fail, size_exceed = evaluate_uq_counts(records, args.n, cfg)
+    counts = [(r.preselector_size, r.hamming, r.active_size) for r in records]
+    cover_fail, size_exceed = evaluate_uq_counts(counts, args.n, cfg)
     _emit(json.dumps(uq_report_dict(cover_fail, size_exceed, cfg), indent=2) + "\n", args.out)
     return 0
 
@@ -223,10 +212,7 @@ def main(argv=None) -> int:
     except (DomainError, DimensionError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - last-resort runtime failure
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

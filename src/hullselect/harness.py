@@ -230,21 +230,17 @@ def _replicate_in_worker(span: tuple[int, int]) -> list[RepRecord]:
     return _replicate(_WORKER_CTX, *span)
 
 
-def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else HULLSELECT_THREADS, else every usable core.
-
-    Zero also means every usable core: the cores this process may run on,
-    which can be fewer than the machine's when its CPU affinity is pinned.
+def resolve_workers() -> int:
+    """Worker setting: HULLSELECT_THREADS, or, where it is 0 or unset, the cores this
+    process may run on, which are fewer than the machine's when its affinity is pinned.
     """
-    field, raw = "workers", explicit
-    if explicit is None:
-        field, raw = "HULLSELECT_THREADS", os.environ.get("HULLSELECT_THREADS", "").strip() or 0
+    raw = os.environ.get("HULLSELECT_THREADS", "").strip() or 0
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ConfigError(field, f"expected an integer, got {raw!r}") from exc
+        raise ConfigError("HULLSELECT_THREADS", f"expected an integer, got {raw!r}") from exc
     if value < 0:
-        raise ConfigError(field, f"must be >= 0, got {value}")
+        raise ConfigError("HULLSELECT_THREADS", f"must be >= 0, got {value}")
     if value:
         return value
     if hasattr(os, "sched_getaffinity"):
@@ -283,18 +279,34 @@ def per_rep_csv_text(records: Sequence[RepRecord]) -> str:
     return "\n".join([PER_REP_CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentReport:
+def read_per_rep_csv(path: str) -> list[RepRecord]:
+    """The records of a per-rep CSV, as per_rep_csv_text writes it."""
+    records = []
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != PER_REP_CSV_HEADER:
+            raise ConfigError("reps-in", f"unexpected CSV header {header!r}")
+        for lineno, line in enumerate(fh, 2):
+            if line.strip():
+                row = typed(
+                    line.strip().split(","), list, f"reps-in line {lineno}",
+                    lambda row: len(row) == 7 and all(c.isdecimal() for c in row), "7 counts"
+                )
+                records.append(RepRecord(*map(int, row)))
+    return records
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full replication loop and aggregate every report quantity.
 
-    ``workers`` overrides the HULLSELECT_THREADS policy; 1 forces serial
-    execution. A run of fewer than _POOL_MIN_COORDS coordinates (reps
-    times n) is serial whatever the worker count; a larger one hands the
-    workers contiguous rep ranges. Outputs are identical for any worker
-    count because records are aggregated in replication order from
-    integer counts.
+    HULLSELECT_THREADS is the only worker setting (see resolve_workers). A
+    run of fewer than _POOL_MIN_COORDS coordinates (reps times n) is serial;
+    a larger one hands contiguous rep ranges to a pool of at most one worker
+    per range. Outputs are identical for any worker count because records
+    are aggregated in replication order from integer counts.
     """
     t0 = time.perf_counter()
-    n_workers = resolve_workers(workers)
+    n_workers = resolve_workers()
     theta = cfg.resolve_theta()
     mask = active_set(theta, cfg.oracle_level, cfg.sigma, cfg.q).active
     active = np.zeros(cfg.n, dtype=bool)
@@ -303,9 +315,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
                       cfg.master_seed)
 
     reps = cfg.replications
-    if n_workers > 1 and reps > 1 and reps * cfg.n >= _POOL_MIN_COORDS:
-        span = max(1, reps // (4 * n_workers))
-        spans = [(first, min(first + span - 1, reps)) for first in range(1, reps + 1, span)]
+    span = max(1, reps // (4 * n_workers))
+    spans = [(first, min(first + span - 1, reps)) for first in range(1, reps + 1, span)]
+    n_workers = min(n_workers, len(spans))
+    if n_workers > 1 and reps * cfg.n >= _POOL_MIN_COORDS:
         with ProcessPoolExecutor(
             max_workers=n_workers, initializer=_init_worker, initargs=(ctx,)
         ) as pool:

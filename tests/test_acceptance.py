@@ -44,7 +44,7 @@ def mc_cell(level, noise, replications=500, seed=20250810):
             "uq": {"alpha4_prime": 1.0, "m1_prime": 4.0},
         }
     )
-    return hs.run_experiment(cfg, workers=1)
+    return hs.run_experiment(cfg)
 
 
 @pytest.fixture(scope="module")

@@ -80,6 +80,13 @@ class TestCoordinateRisk:
             val = coordinate_risk(q)
             assert 0.0 <= val < n / s
 
+    def test_ratio_rounding_to_one_is_domain_error(self):
+        # s = n - 1 passes BoundQuery, but past 2^53 the float n/s rounds to
+        # 1.0 and log(n/s - 1) would be a raw math domain error
+        q = BoundQuery(n=2**53 + 1, s=2**53, a=1.0, sigma=1.0)
+        with pytest.raises(DomainError, match="need n/s > 1"):
+            coordinate_risk(q)
+
     def test_vanishes_for_strong_signal(self):
         vals = [
             coordinate_risk(BoundQuery(n=100, s=10, a=a, sigma=1.0))

@@ -24,7 +24,7 @@ from hullselect import (
     stream_seed,
 )
 from hullselect import harness, selector
-from hullselect.harness import resolve_workers
+from hullselect.harness import read_per_rep_csv, resolve_workers
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.schema.json").read_text())
 
@@ -172,11 +172,6 @@ class TestResolveWorkers:
         monkeypatch.setenv("HULLSELECT_THREADS", env)
         assert resolve_workers() == expect
 
-    @pytest.mark.parametrize("explicit, expect", [(0, 3), (1, 1), (7, 7)])
-    def test_explicit_overrides_env(self, pinned, monkeypatch, explicit, expect):
-        monkeypatch.setenv("HULLSELECT_THREADS", "2")
-        assert resolve_workers(explicit) == expect
-
     def test_without_affinity_falls_back_to_cpu_count(self, pinned, monkeypatch):
         monkeypatch.delattr("os.sched_getaffinity", raising=False)
         assert resolve_workers() == 64
@@ -188,11 +183,6 @@ class TestResolveWorkers:
             resolve_workers()
         assert info.value.field == "HULLSELECT_THREADS"
 
-    def test_negative_explicit(self, pinned):
-        with pytest.raises(ConfigError) as info:
-            resolve_workers(-1)
-        assert info.value.field == "workers"
-
 
 class TestRunExperiment:
     def test_no_signal_no_noise(self):
@@ -200,7 +190,7 @@ class TestRunExperiment:
             base_config(signal={"theta": [0.0] * 40}, replications=1, oracle_A=1.0)
         )
         cfg = dataclasses.replace(cfg, noise=ZeroNoise())
-        report = run_experiment(cfg, workers=1)
+        report = run_experiment(cfg)
         r = report.rates
         assert (r.fdr, r.fpr, r.ndr, r.fnr) == (0.0, 0.0, 0.0, 0.0)
         assert r.hamming_risk == 0.0
@@ -209,8 +199,8 @@ class TestRunExperiment:
 
     def test_determinism_rerun(self):
         cfg = experiment_config_from_dict(base_config())
-        a = run_experiment(cfg, workers=1)
-        b = run_experiment(cfg, workers=1)
+        a = run_experiment(cfg)
+        b = run_experiment(cfg)
         assert per_rep_csv_text(a.records) == per_rep_csv_text(b.records)
         ja, jb = json.loads(a.to_json()), json.loads(b.to_json())
         ja.pop("wall_time_s"), jb.pop("wall_time_s")
@@ -221,8 +211,10 @@ class TestRunExperiment:
         # that the workers run
         monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 0)
         cfg = experiment_config_from_dict(base_config(replications=40))
-        serial = run_experiment(cfg, workers=1)
-        parallel = run_experiment(cfg, workers=4)
+        monkeypatch.setenv("HULLSELECT_THREADS", "1")
+        serial = run_experiment(cfg)
+        monkeypatch.setenv("HULLSELECT_THREADS", "4")
+        parallel = run_experiment(cfg)
         assert per_rep_csv_text(serial.records) == per_rep_csv_text(parallel.records)
         js, jp = json.loads(serial.to_json()), json.loads(parallel.to_json())
         js.pop("wall_time_s"), jp.pop("wall_time_s")
@@ -269,7 +261,7 @@ class TestRunExperiment:
         for cap, sizes in ((3 * cfg.n, [3, 3, 3, 1]), (1, [1] * 10), (10 * cfg.n, [10])):
             monkeypatch.setattr(harness, "_BATCH_COORDS", cap)
             blocks.clear()
-            records = run_experiment(cfg, workers=1).records
+            records = run_experiment(cfg).records
             assert blocks == sizes
             assert [dataclasses.astuple(r) for r in records] == expect
 
@@ -285,7 +277,7 @@ class TestRunExperiment:
         monkeypatch.setattr(selector, "sweep_argmin", dropping_top)
         cfg = experiment_config_from_dict(base_config(replications=5))
         with pytest.raises(RuntimeError, match="outside the preselector"):
-            run_experiment(cfg, workers=1)
+            run_experiment(cfg)
 
     def test_observation_without_finite_square_is_domain_error(self):
         # sigma^2 is finite but sigma * xi passes ROOT_MAX; K = 1 and level 0
@@ -294,14 +286,16 @@ class TestRunExperiment:
             base_config(sigma=1e154, K=1.0, signal={"theta": [0.0] * 40}, oracle_A=0.0)
         )
         with pytest.raises(DomainError, match="x must be finite with a finite square"):
-            run_experiment(cfg, workers=1)
+            run_experiment(cfg)
 
     def test_pool_runs_rep_ranges_at_the_work_threshold(self, monkeypatch):
-        # an in-process stand-in for the pool records the rep ranges it gets
-        spans = []
+        # an in-process stand-in for the pool records its size and the rep
+        # ranges it gets, and starts no process
+        sizes, spans = [], []
 
         class InlinePool:
             def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
                 initializer(*initargs)
 
             def __enter__(self):
@@ -319,32 +313,45 @@ class TestRunExperiment:
         cfg = experiment_config_from_dict(
             base_config(signal={"s": 4, "A": 2.0}, K=1.0, replications=43)
         )
-        serial = run_experiment(cfg, workers=1).records
+        serial = run_experiment(cfg).records
+        monkeypatch.setenv("HULLSELECT_THREADS", "4")
         for threshold, pooled in ((43 * 40 + 1, False), (43 * 40, True)):
             monkeypatch.setattr(harness, "_POOL_MIN_COORDS", threshold)
             spans.clear()
-            assert run_experiment(cfg, workers=4).records == serial
+            assert run_experiment(cfg).records == serial
             assert bool(spans) == pooled
         # 43 // (4 * 4) = 2 reps per range, in order, the last one short
         assert spans == [(r, r + 1) for r in range(1, 43, 2)] + [(43, 43)]
+        assert sizes == [4]
+
+        # 64 workers asked for, but only 43 one-rep ranges to run
+        monkeypatch.setenv("HULLSELECT_THREADS", "64")
+        sizes.clear()
+        assert run_experiment(cfg).records == serial
+        assert sizes == [43]
+
+        # one rep is one range, so no pool even with the threshold at 0
+        monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 0)
+        one = experiment_config_from_dict(base_config(replications=1))
+        sizes.clear()
+        assert run_experiment(one).records
+        assert sizes == []
 
     def test_seed_changes_output(self):
         # borderline regime so per-replication records actually vary
         weak = base_config(signal={"s": 4, "A": 2.0}, K=1.0, replications=30)
-        a = run_experiment(experiment_config_from_dict(weak), workers=1)
-        b = run_experiment(
-            experiment_config_from_dict({**weak, "master_seed": 2025}), workers=1
-        )
+        a = run_experiment(experiment_config_from_dict(weak))
+        b = run_experiment(experiment_config_from_dict({**weak, "master_seed": 2025}))
         assert per_rep_csv_text(a.records) != per_rep_csv_text(b.records)
 
     def test_theta_check_reported(self):
         cfg = experiment_config_from_dict(base_config(theta_check=[1.0, 16.0]))
-        report = run_experiment(cfg, workers=1)
+        report = run_experiment(cfg)
         assert report.theta_check_passed is True
 
     def test_strong_regime_recovers_active_set(self):
         cfg = experiment_config_from_dict(base_config(replications=50))
-        report = run_experiment(cfg, workers=1)
+        report = run_experiment(cfg)
         assert report.rates.hamming_risk <= 0.1
         theta = cfg.resolve_theta()
         assert np.all(theta[:4] != 0) and np.all(theta[4:] == 0)
@@ -357,12 +364,12 @@ class TestRunExperiment:
 
     def test_report_validates_against_schema(self):
         cfg = experiment_config_from_dict(base_config(theta_check=[1.0, 16.0]))
-        report = run_experiment(cfg, workers=1)
+        report = run_experiment(cfg)
         jsonschema.validate(json.loads(report.to_json()), SCHEMA)
 
     def test_per_rep_csv_layout(self):
         cfg = experiment_config_from_dict(base_config(replications=3))
-        report = run_experiment(cfg, workers=1)
+        report = run_experiment(cfg)
         lines = per_rep_csv_text(report.records).strip().split("\n")
         assert lines[0] == "rep,false_pos,false_neg,selected_size,preselector_size,active_size,hamming"
         assert len(lines) == 4
@@ -370,8 +377,16 @@ class TestRunExperiment:
         assert first[0] == 1
         assert first[6] == first[1] + first[2]  # hamming = fp + fn
 
+    def test_per_rep_csv_round_trip(self, tmp_path):
+        weak = base_config(signal={"s": 4, "A": 2.0}, K=1.0, replications=30)
+        records = run_experiment(experiment_config_from_dict(weak)).records
+        assert len({r.hamming for r in records}) > 1
+        path = tmp_path / "reps.csv"
+        path.write_text(per_rep_csv_text(records))
+        assert read_per_rep_csv(str(path)) == list(records)
+
     def test_wall_time_positive(self):
-        report = run_experiment(experiment_config_from_dict(base_config(replications=2)), workers=1)
+        report = run_experiment(experiment_config_from_dict(base_config(replications=2)))
         assert report.wall_time_s > 0
         assert math.isfinite(report.wall_time_s)
 
@@ -387,6 +402,6 @@ class TestOracleActiveSetUse:
         hi = experiment_config_from_dict(
             base_config(n=20, signal={"theta": theta}, oracle_A=30.0, replications=5)
         )
-        rep_lo = run_experiment(lo, workers=1)
-        rep_hi = run_experiment(hi, workers=1)
+        rep_lo = run_experiment(lo)
+        rep_hi = run_experiment(hi)
         assert rep_lo.records[0].active_size > rep_hi.records[0].active_size
