@@ -27,6 +27,14 @@ Floor lemma. If k >= 1 is optimal, then v_(k) >= w * (p[k] - p[k-1]) for
 the k-th largest score v_(k): otherwise dropping that coordinate lowers C.
 So no optimal set holds a score below w * min_j (p[j] - p[j-1]), and only
 the scores at or above that floor need sorting.
+
+Block form. ``sweep_argmin_block`` runs the same float filter on every row
+of a (rows, n) block at once: one floor test, one stable sort of the kept
+scores padded to a common width, one cumsum whose zero pads leave each
+row's suffix sums bitwise those of ``sweep_argmin``, and the same brackets.
+A row whose guard passes and whose brackets leave one candidate is decided
+there; every other row is open and goes to ``sweep_argmin``, so the exact
+refinement, the tie rules and the scaled sum exist only in the row kernel.
 """
 
 from __future__ import annotations
@@ -50,8 +58,16 @@ _TINY = 2.0**-1073
 
 @lru_cache(maxsize=64)
 def penalty_vector(n: int, q: float) -> np.ndarray:
-    """Cached [penalty(0), penalty(1), ..., penalty(n)]. Do not mutate."""
-    return np.array([sparsity_penalty(k, n, q) for k in range(n + 1)])
+    """Cached [penalty(0), penalty(1), ..., penalty(n)]. Do not mutate.
+
+    Bitwise equal to sparsity_penalty at each k: the ratios (q*n)/k divide
+    as the scalar ones do, and their logs come from math.log, since np.log
+    can differ from it in the last bit.
+    """
+    sparsity_penalty(n, n, q)  # its DomainError for n < 1
+    k = np.arange(1.0, n + 1)
+    logs = np.fromiter(map(math.log, (q * n) / k), float, n)
+    return np.concatenate(([0.0], np.multiply(k, logs, out=logs)))
 
 
 @lru_cache(maxsize=64)
@@ -89,6 +105,46 @@ def exact_minimizers(
     return cands[[x == best for x in values]]
 
 
+def _weight_terms(n: int, weight: float, q: float) -> tuple[np.ndarray, float, float]:
+    """(p, |w| * max_k |p[k]|, floor) of a sweep over n scores with weight w.
+
+    The floor is w * min_j (p[j] - p[j-1]); where it is positive it is
+    lowered by far more than its two roundings (the increment and the
+    product), and by an absolute term for an underflowing product.
+    """
+    if not math.isfinite(weight):
+        raise DomainError(f"penalty weight must be finite, got {weight}")
+    min_step, max_abs = _penalty_bounds(n, q)
+    floor = weight * min_step
+    if floor > 0:
+        floor -= floor * 2.0**-40 + _TINY
+    return penalty_vector(n, q), abs(float(weight)) * max_abs, floor
+
+
+def _fits(total, penalty):
+    """Whether scores summing to at most ``total`` plus a penalty term of at
+    most ``penalty`` leave every float sum of the sweep finite.
+
+    Every such float sum exceeds its exact value by less than 2^-20 of it.
+    """
+    return (total + penalty) * (1 + 2.0**-20) <= sys.float_info.max
+
+
+def _bracket(suffix, m, weight: float, penalty: float):
+    """Bound on |fl(suffix[k] + w*p[k]) - (exact suffix[k] + w*p[k])|.
+
+    Recursive summation of a suffix of m sorted scores and the two final
+    roundings stay within (m + 2)*2^-53 of s + |w*p|. |w*p[k]| is at most
+    ``penalty``, so one scalar covers the penalty part; the suffix part
+    stays per k, so a zero suffix with w = 0 has bound 0.
+    """
+    rel = (m + 4) * _REL
+    err = suffix * rel
+    if weight != 0:
+        err += penalty * rel + _TINY
+    return err
+
+
 def sweep_argmin(
     v: np.ndarray,
     weight: float,
@@ -122,43 +178,29 @@ def sweep_argmin(
     """
     v = np.asarray(v, dtype=float)
     n = len(v)
-    if not math.isfinite(weight):
-        raise DomainError(f"penalty weight must be finite, got {weight}")
-    pen = penalty_vector(n, q)
-    min_step, max_abs = _penalty_bounds(n, q)
-    floor = weight * min_step
+    pen, penalty, floor = _weight_terms(n, weight, q)
     if floor > 0:
-        # Two roundings (the increment and the product) stay far inside the
-        # 2^-40 margin; the absolute term covers an underflowing product.
-        floor -= floor * 2.0**-40 + _TINY
         keep = (v >= floor).nonzero()[0]
         order = keep[order_by_score(v[keep])]
     else:
         order = order_by_score(v)
     top = v[order]
     m = len(top)
-    # Every float sum below exceeds its exact value by less than 2^-20 of it.
     # The sorted scores sum to at most m * top[0] and the others lie below
     # the floor; only near the float limit are the scores summed, scaled by
     # 2^-64 so that the sum cannot overflow.
     total = (m * float(top[0]) if m else 0.0) + (n - m) * floor
-    penalty = abs(float(weight)) * max_abs
-    if not (total + penalty) * (1 + 2.0**-20) <= sys.float_info.max:
+    if not _fits(total, penalty):
         total = float(np.sum(v * 2.0**-64)) * 2.0**64
-        if not (total + penalty) * (1 + 2.0**-20) <= sys.float_info.max:
+        if not _fits(total, penalty):
             raise DomainError("the sum of the scores and the penalty term overflows")
 
     # D(k) = sum(top[k:]) + w*p[k] differs from C(k) by the sum of the
-    # unsorted scores, a constant. Recursive summation of the suffix and
-    # the two final roundings stay within (m + 2)*2^-53 of s + |w*p|.
+    # unsorted scores, a constant.
     suffix = np.zeros(m + 1)
     top[::-1].cumsum(out=suffix[:m][::-1])
     wp = weight * pen[: m + 1]
-    # |w*p[k]| <= |w|*max|p|, so one scalar covers the penalty part; the
-    # suffix part stays per k, so a zero suffix with w = 0 has bound 0.
-    err = suffix * ((m + 4) * _REL)
-    if weight != 0:
-        err += abs(weight) * max_abs * ((m + 4) * _REL) + _TINY
+    err = _bracket(suffix, m, weight, penalty)
 
     def exact(cands: np.ndarray) -> list[Fraction]:
         # D(k) - sum(top[a:]) for the anchor a = largest candidate.
@@ -189,3 +231,49 @@ def sweep_argmin(
     outside = v.copy()
     outside[order[:best_k]] = 0.0
     return best_k, order, float(outside.sum()) + weight * float(pen[best_k])
+
+
+def sweep_argmin_block(v: np.ndarray, weight: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """The preselector's sweep_argmin (prefer_small=False) on every row of a
+    (rows, n) block of scores, in one pass.
+
+    Returns ``(k, top)``: ``k[i]`` is the cardinality sweep_argmin chooses
+    for row i, and ``top[i]`` holds row i's scores at or above the floor in
+    descending order, then zeros, so that ``top[i, :k[i]]`` are the chosen
+    scores. ``top`` has one column more than the most scores any row keeps.
+
+    The rows share the floor, one sort over the zero-padded kept scores and
+    one cumsum, whose zero pads leave each row's suffix sums bitwise those
+    of sweep_argmin. A row is decided here when its overflow guard passes
+    and exactly one cardinality's bracket reaches the minimum; any other
+    row is open and goes to sweep_argmin whole, which holds the exact
+    refinement, the tie rules and the scaled sum.
+    """
+    rows, n = v.shape
+    pen, penalty, floor = _weight_terms(n, weight, q)
+    keep = v >= floor  # every nonnegative score where the floor is not positive
+    m = np.count_nonzero(keep, axis=1)
+    width = max(m.tolist()) + 1
+    cols = np.arange(width)
+    # Each row's kept scores, then zero pads, in sweep_argmin's order: a
+    # stable sort on the negated scores, with the pads keyed +inf so that
+    # they come last. The kept scores sit in ascending index order.
+    filled = cols < m[:, None]
+    kept = v[keep]
+    top = np.zeros((rows, width))
+    top[filled] = kept
+    keys = np.full((rows, width), np.inf)
+    keys[filled] = np.negative(kept, out=kept)
+    top = np.take_along_axis(top, keys.argsort(axis=1, kind="stable"), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows whose guard trips
+        fits = _fits(m * top[:, 0] + (n - m) * floor, penalty)
+        suffix = top[:, ::-1].cumsum(axis=1)[:, ::-1]
+        err = _bracket(suffix, m[:, None], weight, penalty)
+        approx = np.add(suffix, weight * pen[:width], out=suffix)
+        approx[cols > m[:, None]] = np.inf  # cardinalities past a row's kept scores
+        upper = approx + err
+        cands = np.subtract(approx, err, out=approx) <= upper.min(axis=1, keepdims=True)
+    k = cands.argmax(axis=1)
+    for i in np.flatnonzero(~fits | (np.count_nonzero(cands, axis=1) != 1)):
+        k[i] = sweep_argmin(v[i], weight, q, prefer_small=False)[0]
+    return k, top

@@ -4,11 +4,13 @@ A run fixes one signal, computes its evaluation active set once, then for
 each replication derives an independent stream from (master_seed, rep),
 draws noise, runs the selector, and records integer confusion counts. Reps
 run in contiguous batches whose noise is drawn as one block, row by row
-from each rep's own stream. The block is squared in place and each row is
-selected through the same row function as ``select``, then counted against
-the active-set indicator. All aggregation happens afterwards from the
-ordered records, so serial and worker-pool execution and every batch size
-produce byte-identical outputs.
+from each rep's own stream. The block is squared in place and selected in
+slices of rows by the sweep's block form, which hands any row its float
+filter leaves open to the row kernel that ``select`` runs. Each slice's
+thresholds, subset check and confusion counts are then taken over its rows
+at once. All aggregation happens afterwards from the ordered records, so
+serial and worker-pool execution and every batch size produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .core import Q_DEFAULT, ConfigError, built, finite_vector, typed
 from .metrics import DEFAULT_KFWER_KS, ConfusionCounts, RateReport, aggregate
 from .noise import NoiseModel, noise_model_from_spec, sample_noise
 from .oracle import active_set, has_distinct_active_set, strong_signal_vector
-from .selector import SelectorConfig, _select_row
+from ._sweep import sweep_argmin_block
+from .selector import SelectorConfig, _size_threshold
 from .uq import UqConfig, evaluate_uq_counts, uq_report_dict
 
 PER_REP_CSV_HEADER = "rep,false_pos,false_neg,selected_size,preselector_size,active_size,hamming"
@@ -175,6 +178,10 @@ class RepRecord:
 # A batch's noise block holds at most this many coordinates (2 MiB of
 # float64), so a run's memory does not grow with its rep count.
 _BATCH_COORDS = 2**18
+# A batch is selected in slices of this many rows, which bounds the
+# selection's work arrays whatever the batch size; larger slices select no
+# faster.
+_SELECT_ROWS = 64
 # A run of fewer coordinates (reps times n) than this stays serial: below it
 # starting a worker pool costs more than the workers save.
 _POOL_MIN_COORDS = 2**20
@@ -195,24 +202,44 @@ def _replicate(ctx: _RepContext, first: int, last: int) -> list[RepRecord]:
     Rep r draws from its own stream, seeded stream_seed(master_seed, r), so
     its record does not depend on the batch it falls in.
     """
-    n = len(ctx.theta)
-    sigma = ctx.selector.sigma
-    active_size = int(np.count_nonzero(ctx.active))
-    batch = max(1, _BATCH_COORDS // n)
+    batch = max(1, _BATCH_COORDS // len(ctx.theta))
     records = []
     for start in range(first, last + 1, batch):
-        reps = range(start, min(start + batch, last + 1))
-        rngs = [np.random.default_rng(stream_seed(ctx.master_seed, rep)) for rep in reps]
-        x = sample_noise(ctx.noise, n, rngs)
-        x *= sigma
-        x += ctx.theta  # x = theta + sigma * xi, rounded as for one rep
-        finite_vector(x.ravel(order="K"), "x")  # a view of the block, not a copy
-        np.square(x, out=x)
-        for rep, x2 in zip(reps, x):
-            k, _, _, _, selected = _select_row(x2, ctx.selector)
-            true_pos = int(np.count_nonzero(ctx.active[selected]))
-            false_pos, false_neg = len(selected) - true_pos, active_size - true_pos
-            records.append(RepRecord(rep, false_pos, false_neg, len(selected), k, active_size,
+        # one call per batch, so that a batch's block is freed before the next is drawn
+        records += _batch_records(ctx, range(start, min(start + batch, last + 1)))
+    return records
+
+
+def _batch_records(ctx: _RepContext, reps: range) -> list[RepRecord]:
+    """Records of one batch: its noise block, selected in slices of _SELECT_ROWS rows."""
+    n = len(ctx.theta)
+    cfg = ctx.selector
+    weight = cfg.K * cfg.sigma**2
+    active = ctx.active.nonzero()[0]
+    rngs = [np.random.default_rng(stream_seed(ctx.master_seed, rep)) for rep in reps]
+    x = sample_noise(ctx.noise, n, rngs)
+    x *= cfg.sigma
+    x += ctx.theta  # x = theta + sigma * xi, rounded as for one rep
+    finite_vector(x.ravel(order="K"), "x")  # a view of the block, not a copy
+    np.square(x, out=x)
+    clears = np.empty((min(len(reps), _SELECT_ROWS), n), dtype=bool)
+    records = []
+    for lo in range(0, len(reps), _SELECT_ROWS):
+        x2 = x[lo:lo + _SELECT_ROWS]
+        k, top = sweep_argmin_block(x2, weight, cfg.q)
+        ks = k.tolist()
+        threshold = np.array([_size_threshold(weight, cfg.q, n, pre) for pre in ks])[:, None]
+        selected = np.count_nonzero(np.greater_equal(x2, threshold, out=clears[:len(ks)]), axis=1)
+        # the selected set lies in the preselector exactly when the chosen
+        # scores hold as many that clear the threshold
+        chosen = np.arange(top.shape[1]) < k[:, None]
+        chosen &= top >= threshold
+        if not np.array_equal(np.count_nonzero(chosen, axis=1), selected):
+            raise RuntimeError("selector produced a coordinate outside the preselector")
+        true_pos = np.count_nonzero(x2[:, active] >= threshold, axis=1)
+        for rep, pre, size, tp in zip(reps[lo:], ks, selected.tolist(), true_pos.tolist()):
+            false_pos, false_neg = size - tp, len(active) - tp
+            records.append(RepRecord(rep, false_pos, false_neg, size, pre, len(active),
                                      false_pos + false_neg))
     return records
 

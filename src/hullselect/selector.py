@@ -67,29 +67,23 @@ def select(obs: ObservationVector, cfg: SelectorConfig) -> SelectionResult:
     selected set is checked to be a subset of the preselector, which the
     criterion guarantees for the default threshold.
     """
-    k, order, value, threshold, selected = _select_row(obs.x**2, cfg)
-    pre = SelectionMask.from_indices(order[:k] + 1, obs.n)
-    return SelectionResult(pre, SelectionMask.from_indices(selected + 1, obs.n), threshold, value)
-
-
-def _select_row(x2: np.ndarray, cfg: SelectorConfig) -> tuple:
-    """select on the squared observations ``x2``, without masks.
-
-    Returns (k, order, criterion, threshold, selected): the preselector is
-    ``order[:k]`` as from sweep_argmin, and ``selected`` holds the ascending
-    0-based indices whose x2 clears the threshold. The harness calls it on
-    each row of a squared noise block.
-    """
+    x2 = obs.x**2
     weight = cfg.K * cfg.sigma**2
     k, order, value = sweep_argmin(x2, weight, cfg.q, prefer_small=False)
-    # math.log, not np.log: the two can differ in the last bit
-    threshold = math.inf if k == 0 else weight * math.log(cfg.q * len(x2) / k)
+    threshold = _size_threshold(weight, cfg.q, obs.n, k)
     clears = x2 >= threshold
     selected = clears.nonzero()[0]
     clears[order[:k]] = False  # what still clears lies outside the preselector
     if np.count_nonzero(clears):
         raise RuntimeError("selector produced a coordinate outside the preselector")
-    return k, order, value, threshold, selected
+    pre = SelectionMask.from_indices(order[:k] + 1, obs.n)
+    return SelectionResult(pre, SelectionMask.from_indices(selected + 1, obs.n), threshold, value)
+
+
+def _size_threshold(weight: float, q: float, n: int, k: int) -> float:
+    """Threshold w*log(q*n/k) on x^2 for a preselector of size k; +inf at k = 0."""
+    # math.log, not np.log: the two can differ in the last bit
+    return math.inf if k == 0 else weight * math.log(q * n / k)
 
 
 def mallows_cp(obs: ObservationVector) -> SelectionMask:

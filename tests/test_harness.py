@@ -23,7 +23,7 @@ from hullselect import (
     select,
     stream_seed,
 )
-from hullselect import harness, selector
+from hullselect import harness
 from hullselect.harness import read_per_rep_csv, resolve_workers
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.schema.json").read_text())
@@ -266,15 +266,16 @@ class TestRunExperiment:
             assert [dataclasses.astuple(r) for r in records] == expect
 
     def test_selected_outside_preselector_is_runtime_error(self, monkeypatch):
-        real = selector.sweep_argmin
+        real = harness.sweep_argmin_block
 
-        def dropping_top(v, weight, q, prefer_small):
-            # the lowest score takes the top score's place in the preselector,
-            # while the threshold from the same k still selects the top score
-            k, order, value = real(v, weight, q, prefer_small)
-            return k, np.r_[np.argmin(v), order[1:]], value
+        def dropping_top(v, weight, q):
+            # the lowest score takes the top score's place in each row's chosen
+            # scores, while the threshold from the same k still selects the top score
+            k, top = real(v, weight, q)
+            top[:, 0] = v.min(axis=1)
+            return k, top
 
-        monkeypatch.setattr(selector, "sweep_argmin", dropping_top)
+        monkeypatch.setattr(harness, "sweep_argmin_block", dropping_top)
         cfg = experiment_config_from_dict(base_config(replications=5))
         with pytest.raises(RuntimeError, match="outside the preselector"):
             run_experiment(cfg)

@@ -21,7 +21,9 @@ from hullselect import (
     active_set,
     sparsity_penalty,
 )
-from hullselect._sweep import exact_minimizers, sweep_argmin
+from hullselect import _sweep
+from hullselect.core import ROOT_MAX
+from hullselect._sweep import exact_minimizers, penalty_vector, sweep_argmin, sweep_argmin_block
 
 
 def exact_reference(v, weight, q, prefer_small):
@@ -56,14 +58,13 @@ def step(k, n, q=Q_DEFAULT):
     return sparsity_penalty(k, n, q) - sparsity_penalty(k - 1, n, q)
 
 
-small_ints = st.lists(st.integers(0, 9).map(float), min_size=1, max_size=60)
-dyadics = st.lists(
-    st.tuples(st.integers(0, 64), st.integers(-4, 4)).map(lambda t: math.ldexp(t[0], t[1])),
-    min_size=1,
-    max_size=60,
-)
+small_int_scores = st.integers(0, 9).map(float)
+dyadic_scores = st.tuples(st.integers(0, 64), st.integers(-4, 4)).map(lambda t: math.ldexp(*t))
 # Few distinct values, so most scores are duplicated.
-duplicated = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.25, 7.0, 30.0]), min_size=1, max_size=60)
+duplicated_scores = st.sampled_from([0.0, 0.5, 1.0, 2.25, 7.0, 30.0])
+small_ints = st.lists(small_int_scores, min_size=1, max_size=60)
+dyadics = st.lists(dyadic_scores, min_size=1, max_size=60)
+duplicated = st.lists(duplicated_scores, min_size=1, max_size=60)
 dyadic_weights = st.integers(-3, 3).map(lambda j: 2.0**j) | st.just(0.0)
 
 
@@ -167,6 +168,130 @@ def test_level_zero_returns_support_without_rational_work():
     approx = np.append(suffix, 0.0)
     err = approx * 2.0**-40
     assert exact_minimizers(approx, err, no_exact).tolist() == list(range(3, 1001))
+
+
+def assert_block_matches_reference(rows, weight, q=Q_DEFAULT):
+    """Each row's k and chosen scores from the block form equal the exact reference."""
+    v = np.array(rows, dtype=float).reshape(len(rows), -1)
+    k, top = sweep_argmin_block(v, weight, q)
+    assert k.shape == (len(v),)
+    for row, k_row, top_row in zip(v, k.tolist(), top):
+        ref_k, ref_chosen = exact_reference(row, weight, q, prefer_small=False)
+        assert (k_row, top_row[:k_row].tolist()) == (ref_k, row[ref_chosen].tolist()), (
+            row.tolist(), weight)
+
+
+def blocks(scores):
+    """1 to 6 rows of one common length from 1 to 20."""
+    return st.integers(1, 20).flatmap(
+        lambda n: st.lists(st.lists(scores, min_size=n, max_size=n), min_size=1, max_size=6))
+
+
+stacked_rows = st.one_of(blocks(small_int_scores), blocks(dyadic_scores), blocks(duplicated_scores))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_rows, dyadic_weights | st.floats(0.0, 40.0))
+def test_block_rows_match_exact_reference(rows, weight):
+    assert_block_matches_reference(rows, weight)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_rows, st.data())
+def test_block_rows_at_near_tie_weights_match_exact_reference(rows, data):
+    # the weight puts one row's C(k) and C(k-1) within ulps; the other rows
+    # share it as the harness's rows share K*sigma^2
+    row = rows[data.draw(st.integers(0, len(rows) - 1))]
+    i = data.draw(st.integers(0, len(row) - 1))
+    if row[i] > 0:
+        k, nudge = data.draw(st.integers(1, len(row))), data.draw(st.integers(-2, 2))
+        assert_block_matches_reference(rows, near_tie_weight(row, i, k, nudge))
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0]], [[5.0]], [[0.0], [5.0], [1e-300]],  # n = 1
+    [[0.0, 0.0, 0.0]],  # B = 1 and k = 0
+    [[0.0, 0.5, 0.0], [9.0, 30.0, 1.0], [0.0, 0.0, 0.0]],  # rows with k = 0 among others
+])
+@pytest.mark.parametrize("weight", [0.0, 1.0, 4.0])
+def test_block_edge_shapes(rows, weight):
+    assert_block_matches_reference(rows, weight)
+
+
+def test_block_matches_row_kernel_on_gaussian_rows():
+    rng = np.random.default_rng(12)
+    theta = np.zeros(1000)
+    theta[:10] = 6.0
+    v = (theta + rng.standard_normal((70, 1000))) ** 2
+    for weight in (0.5, 4.0):
+        k, top = sweep_argmin_block(v, weight, Q_DEFAULT)
+        for row, k_row, top_row in zip(v, k.tolist(), top):
+            k_ref, order, _ = sweep_argmin(row, weight, Q_DEFAULT, prefer_small=False)
+            assert k_row == k_ref
+            assert top_row[: len(order)].tolist() == row[order].tolist()
+            assert not top_row[len(order):].any()
+
+
+def recording_row_kernel(monkeypatch):
+    """Patch the row kernel that open rows go to; return the list of rows it gets."""
+    seen = []
+
+    def recording(v, weight, q, prefer_small):
+        seen.append(np.asarray(v).tolist())
+        return sweep_argmin(v, weight, q, prefer_small)
+
+    monkeypatch.setattr(_sweep, "sweep_argmin", recording)
+    return seen
+
+
+def test_block_hands_an_exact_tie_row_to_the_row_kernel(monkeypatch):
+    # w a power of two makes w * (p[2] - p[1]) exact, so a score equal to it
+    # ties C(2) and C(1) exactly: two candidates, an open row
+    n, weight = 6, 0.5
+    tied = [30.0, weight * step(2, n), 0.0, 0.0, 0.0, 0.0]
+    plain = [30.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+    seen = recording_row_kernel(monkeypatch)
+    assert_block_matches_reference([plain, tied, plain], weight)
+    assert seen == [tied]
+    assert sweep_argmin_block(np.array([tied]), weight, Q_DEFAULT)[0] == [2]
+
+
+def test_block_hands_a_near_tie_row_to_the_row_kernel(monkeypatch):
+    # one ulp off the exact tie, so only the rational re-decision tells C(1) from C(2)
+    n, weight = 6, 0.5
+    for nudge in (-1, 1):
+        near = [30.0, math.nextafter(weight * step(2, n), nudge * math.inf), 0.0, 0.0, 0.0, 0.0]
+        seen = recording_row_kernel(monkeypatch)
+        assert_block_matches_reference([near], weight)
+        assert seen == [near]
+
+
+def test_block_hands_an_overflow_guard_row_to_the_row_kernel(monkeypatch):
+    # 3 * 1e308 overflows the guard's bound, but the scaled sum of the row
+    # fits, so the row kernel decides it
+    big = [1e308, 1e307, 1e307, 0.0]
+    seen = recording_row_kernel(monkeypatch)
+    assert_block_matches_reference([[1.0, 9.0, 0.0, 4.0], big], 1.0)
+    assert seen == [big]
+
+
+def test_block_raises_the_row_kernel_domain_errors():
+    v = np.array([[1.0, 9.0, 0.0], [4.0, 0.0, 0.0]])
+    for weight in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="penalty weight must be finite"):
+            sweep_argmin_block(v, weight, Q_DEFAULT)
+    huge = np.array([[1.0, 9.0, 0.0], [ROOT_MAX**2, ROOT_MAX**2, 0.0]])
+    with pytest.raises(DomainError, match="overflows"):
+        sweep_argmin(huge[1], 1.0, Q_DEFAULT, prefer_small=False)
+    with pytest.raises(DomainError, match="overflows"):
+        sweep_argmin_block(huge, 1.0, Q_DEFAULT)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 1000, 100_000])
+@pytest.mark.parametrize("q", [math.e**2, 3.0, 1.5])
+def test_penalty_vector_bytes_equal_sparsity_penalty(n, q):
+    expect = np.array([sparsity_penalty(k, n, q) for k in range(n + 1)])
+    assert penalty_vector.__wrapped__(n, q).tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize(
