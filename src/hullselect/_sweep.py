@@ -43,7 +43,6 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -82,27 +81,10 @@ def order_by_score(v: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(v, dtype=float), kind="stable")
 
 
-def exact_minimizers(
-    approx: np.ndarray,
-    err: np.ndarray,
-    exact: Callable[[np.ndarray], list[Fraction]],
-) -> np.ndarray:
-    """Ascending indices i at which an exactly defined value X_i is minimal.
-
-    Each X_i is known as a float ``approx[i]`` with |approx[i] - X_i| <=
-    ``err[i]``. Every i whose bracket reaches the smallest upper end is a
-    candidate. Candidates with bound 0 are exact already; if all of them
-    are, their floats decide. Otherwise ``exact(candidates)`` returns the
-    candidates' X_i as Fractions, shifted by one common constant if that is
-    cheaper, and the minimum is taken exactly.
-    """
-    cands = (approx - err <= (approx + err).min()).nonzero()[0]
-    if len(cands) == 1 or not err[cands].any():
-        # With all candidate bounds 0, each candidate float equals the minimum.
-        return cands
-    values = exact(cands)
-    best = min(values)
-    return cands[[x == best for x in values]]
+def _candidates(approx: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """Where a value known as ``approx`` within ``err`` can be the minimum along
+    the last axis: its bracket reaches the smallest upper end."""
+    return approx - err <= (approx + err).min(axis=-1, keepdims=True)
 
 
 def _weight_terms(n: int, weight: float, q: float) -> tuple[np.ndarray, float, float]:
@@ -179,11 +161,8 @@ def sweep_argmin(
     v = np.asarray(v, dtype=float)
     n = len(v)
     pen, penalty, floor = _weight_terms(n, weight, q)
-    if floor > 0:
-        keep = (v >= floor).nonzero()[0]
-        order = keep[order_by_score(v[keep])]
-    else:
-        order = order_by_score(v)
+    keep = (v >= floor).nonzero()[0]  # every nonnegative score where the floor is not positive
+    order = keep[order_by_score(v[keep])]
     top = v[order]
     m = len(top)
     # The sorted scores sum to at most m * top[0] and the others lie below
@@ -199,23 +178,23 @@ def sweep_argmin(
     # unsorted scores, a constant.
     suffix = np.zeros(m + 1)
     top[::-1].cumsum(out=suffix[:m][::-1])
-    wp = weight * pen[: m + 1]
     err = _bracket(suffix, m, weight, penalty)
-
-    def exact(cands: np.ndarray) -> list[Fraction]:
+    ties = _candidates(suffix + weight * pen[: m + 1], err).nonzero()[0]
+    if len(ties) > 1 and err[ties].any():
+        # Re-decide exactly, unless every candidate bound is 0 and each
+        # candidate float equals the minimum already. The Fractions are
         # D(k) - sum(top[a:]) for the anchor a = largest candidate.
         fw = Fraction(weight)
-        out = []
+        values = []
         acc = Fraction(0)
-        j = int(cands[-1])
-        for k in reversed(cands.tolist()):
+        j = int(ties[-1])
+        for k in reversed(ties.tolist()):
             for x in top[k:j].tolist():
                 acc += Fraction(x)
             j = k
-            out.append(acc + fw * Fraction(float(pen[k])))
-        return out[::-1]
-
-    ties = exact_minimizers(suffix + wp, err, exact)
+            values.append(acc + fw * Fraction(float(pen[k])))
+        best = min(values)
+        ties = ties[[x == best for x in values[::-1]]]
     if len(ties) == 1 or prefer_small:
         # Candidates are nested, so sum(i) grows strictly with k: the
         # smallest tied cardinality has the smallest index sum.
@@ -271,8 +250,7 @@ def sweep_argmin_block(v: np.ndarray, weight: float, q: float) -> tuple[np.ndarr
         err = _bracket(suffix, m[:, None], weight, penalty)
         approx = np.add(suffix, weight * pen[:width], out=suffix)
         approx[cols > m[:, None]] = np.inf  # cardinalities past a row's kept scores
-        upper = approx + err
-        cands = np.subtract(approx, err, out=approx) <= upper.min(axis=1, keepdims=True)
+        cands = _candidates(approx, err)
     k = cands.argmax(axis=1)
     for i in np.flatnonzero(~fits | (np.count_nonzero(cands, axis=1) != 1)):
         k[i] = sweep_argmin(v[i], weight, q, prefer_small=False)[0]

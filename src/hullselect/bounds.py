@@ -84,6 +84,10 @@ def hamming_risk_lower_bound(q: BoundQuery) -> LowerBound:
 
 def separation_for_level(n: int, s: int, level: float, sigma: float) -> float:
     """Signal separation a with a^2/sigma^2 = level * log(e*n/s)."""
+    if not 1 <= s <= n:
+        raise DomainError(f"need 1 <= s <= n, got n={n}, s={s}")
+    if not (0 <= level < math.inf and 0 < sigma < math.inf):
+        raise DomainError(f"need a finite level A >= 0 and sigma > 0, got A={level}, sigma={sigma}")
     return sigma * math.sqrt(level * math.log(math.e * n / s))
 
 

@@ -3,14 +3,14 @@
 A run fixes one signal, computes its evaluation active set once, then for
 each replication derives an independent stream from (master_seed, rep),
 draws noise, runs the selector, and records integer confusion counts. Reps
-run in contiguous batches whose noise is drawn as one block, row by row
-from each rep's own stream. The block is squared in place and selected in
-slices of rows by the sweep's block form, which hands any row its float
-filter leaves open to the row kernel that ``select`` runs. Each slice's
-thresholds, subset check and confusion counts are then taken over its rows
-at once. All aggregation happens afterwards from the ordered records, so
-serial and worker-pool execution and every batch size produce
-byte-identical outputs.
+run in contiguous batches, the one unit of work of serial and pooled runs
+alike. A batch's noise is drawn as one block, row by row from each rep's
+own stream. The block is squared in place and selected in slices of rows
+by the sweep's block form, which hands any row its float filter leaves open
+to the row kernel that ``select`` runs. Each slice's thresholds, subset
+check and confusion counts are taken over its rows at once. All aggregation
+happens afterwards from the ordered records, so serial and worker-pool
+execution and every batch size produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -192,30 +192,20 @@ class _RepContext:
     theta: np.ndarray
     selector: SelectorConfig
     noise: NoiseModel
-    active: np.ndarray  # boolean indicator of the evaluation active set
+    active: np.ndarray  # 0-based columns of the evaluation active set
     master_seed: int
 
 
-def _replicate(ctx: _RepContext, first: int, last: int) -> list[RepRecord]:
-    """Records of reps first..last, in order, drawn in batches of one noise block each.
+def _batch_records(ctx: _RepContext, reps: range) -> list[RepRecord]:
+    """Records of one batch of reps, in order: its noise block, selected in
+    slices of _SELECT_ROWS rows.
 
     Rep r draws from its own stream, seeded stream_seed(master_seed, r), so
     its record does not depend on the batch it falls in.
     """
-    batch = max(1, _BATCH_COORDS // len(ctx.theta))
-    records = []
-    for start in range(first, last + 1, batch):
-        # one call per batch, so that a batch's block is freed before the next is drawn
-        records += _batch_records(ctx, range(start, min(start + batch, last + 1)))
-    return records
-
-
-def _batch_records(ctx: _RepContext, reps: range) -> list[RepRecord]:
-    """Records of one batch: its noise block, selected in slices of _SELECT_ROWS rows."""
     n = len(ctx.theta)
     cfg = ctx.selector
     weight = cfg.K * cfg.sigma**2
-    active = ctx.active.nonzero()[0]
     rngs = [np.random.default_rng(stream_seed(ctx.master_seed, rep)) for rep in reps]
     x = sample_noise(ctx.noise, n, rngs)
     x *= cfg.sigma
@@ -236,10 +226,10 @@ def _batch_records(ctx: _RepContext, reps: range) -> list[RepRecord]:
         chosen &= top >= threshold
         if not np.array_equal(np.count_nonzero(chosen, axis=1), selected):
             raise RuntimeError("selector produced a coordinate outside the preselector")
-        true_pos = np.count_nonzero(x2[:, active] >= threshold, axis=1)
+        true_pos = np.count_nonzero(x2[:, ctx.active] >= threshold, axis=1)
         for rep, pre, size, tp in zip(reps[lo:], ks, selected.tolist(), true_pos.tolist()):
-            false_pos, false_neg = size - tp, len(active) - tp
-            records.append(RepRecord(rep, false_pos, false_neg, size, pre, len(active),
+            false_pos, false_neg = size - tp, len(ctx.active) - tp
+            records.append(RepRecord(rep, false_pos, false_neg, size, pre, len(ctx.active),
                                      false_pos + false_neg))
     return records
 
@@ -253,8 +243,8 @@ def _init_worker(ctx: _RepContext) -> None:
     _WORKER_CTX = ctx
 
 
-def _replicate_in_worker(span: tuple[int, int]) -> list[RepRecord]:
-    return _replicate(_WORKER_CTX, *span)
+def _batch_records_in_worker(reps: range) -> list[RepRecord]:
+    return _batch_records(_WORKER_CTX, reps)
 
 
 def resolve_workers() -> int:
@@ -326,32 +316,35 @@ def read_per_rep_csv(path: str) -> list[RepRecord]:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full replication loop and aggregate every report quantity.
 
-    HULLSELECT_THREADS is the only worker setting (see resolve_workers). A
-    run of fewer than _POOL_MIN_COORDS coordinates (reps times n) is serial;
-    a larger one hands contiguous rep ranges to a pool of at most one worker
-    per range. Outputs are identical for any worker count because records
-    are aggregated in replication order from integer counts.
+    The reps are split once into batches of at most _BATCH_COORDS
+    coordinates. A run of fewer than _POOL_MIN_COORDS coordinates (reps
+    times n) loops over them serially; a larger one hands them as tasks to
+    a pool of at most one worker per batch. HULLSELECT_THREADS is the only
+    worker setting (see resolve_workers). Outputs are identical for any
+    worker count because records are aggregated in replication order from
+    integer counts.
     """
     t0 = time.perf_counter()
     n_workers = resolve_workers()
     theta = cfg.resolve_theta()
     mask = active_set(theta, cfg.oracle_level, cfg.sigma, cfg.q).active
-    active = np.zeros(cfg.n, dtype=bool)
-    active[[i - 1 for i in mask.indices]] = True
+    active = np.array(mask.indices, dtype=np.intp) - 1
     ctx = _RepContext(theta, SelectorConfig(cfg.K, cfg.sigma, cfg.q), cfg.noise, active,
                       cfg.master_seed)
 
     reps = cfg.replications
-    span = max(1, reps // (4 * n_workers))
-    spans = [(first, min(first + span - 1, reps)) for first in range(1, reps + 1, span)]
-    n_workers = min(n_workers, len(spans))
+    size = max(1, _BATCH_COORDS // cfg.n)
+    batches = [range(first, min(first + size, reps + 1)) for first in range(1, reps + 1, size)]
+    n_workers = min(n_workers, len(batches))
     if n_workers > 1 and reps * cfg.n >= _POOL_MIN_COORDS:
         with ProcessPoolExecutor(
             max_workers=n_workers, initializer=_init_worker, initargs=(ctx,)
         ) as pool:
-            records = [rec for part in pool.map(_replicate_in_worker, spans) for rec in part]
+            parts = list(pool.map(_batch_records_in_worker, batches))
     else:
-        records = _replicate(ctx, 1, reps)
+        # one call per batch, so that a batch's block is freed before the next is drawn
+        parts = [_batch_records(ctx, batch) for batch in batches]
+    records = [rec for part in parts for rec in part]
 
     counts = [
         ConfusionCounts(r.false_pos, r.false_neg, r.selected_size, r.active_size, cfg.n)

@@ -232,10 +232,12 @@ def tail_decay_diagnostic(
     for s in subset_sizes:
         if not (1 <= s <= n):
             raise DomainError(f"subset size {s} outside [1, {n}]")
-    if not (per_coordinate_budget > 0):
-        raise DomainError("per_coordinate_budget must be positive")
-
+    if not (0 < per_coordinate_budget < math.inf):
+        raise DomainError(f"per_coordinate_budget must be finite and > 0, got {per_coordinate_budget}")
     grid = tuple(sorted(float(m) for m in m_grid))
+    if not all(map(math.isfinite, grid)):
+        raise DomainError(f"m_grid points must be finite, got {list(m_grid)}")
+
     excesses = []
     for s in subset_sizes:
         for _ in range(reps):

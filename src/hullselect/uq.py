@@ -41,6 +41,8 @@ def confidence_radius(preselector_size: int, n: int, alpha4_prime: float) -> flo
     Monotone non-decreasing in the size and capped at n for any
     alpha4_prime >= 0; exponent 0 gives the full ball.
     """
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     if not (0 <= preselector_size <= n):
         raise DomainError(f"size must lie in [0, {n}], got {preselector_size}")
     if not (0 <= alpha4_prime < math.inf):

@@ -1,18 +1,40 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and probes for the test suite.
 
 The brute-force routines enumerate all 2^n subsets with math.fsum-based
 criteria (exactly rounded sums, order independent) and apply the documented
 tie orders explicitly, so they share no code path with the sort-and-sweep
-implementations they check.
+implementations they check. The pool probe shows that a run meant to use
+the worker pool did start one.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import pytest
 
-from hullselect import SelectionMask, sparsity_penalty
+from hullselect import SelectionMask, harness, sparsity_penalty
+
+
+def recording_pool(sizes: list[int]) -> type:
+    """A ProcessPoolExecutor that appends each started pool's worker count to sizes."""
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    return RecordingPool
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """Worker counts of the pools that runs start while the test runs, in order."""
+    sizes: list[int] = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool(sizes))
+    return sizes
 
 
 def iter_masks(n: int):

@@ -20,6 +20,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from conftest import recording_pool
 from hullselect import harness
 from hullselect.cli import main as cli_main
 
@@ -95,11 +96,16 @@ def compute_digests() -> dict[str, str]:
         digests["readme"] = _simulate_digest(README_CONFIG)
     with _run_setting("1", _BATCH_COORDS=1):
         digests["readme-cap-1"] = _simulate_digest(README_CONFIG)
-    with _run_setting("2", _POOL_MIN_COORDS=0):
+    # 500-coordinate batches split each criterion 9 run into 3 to 5 pool tasks
+    pools: list[int] = []
+    with _run_setting("2", _POOL_MIN_COORDS=0, _BATCH_COORDS=500,
+                      ProcessPoolExecutor=recording_pool(pools)):
         for idx, over in enumerate(CRITERION_9):
             config = {"sigma": 1.0, "noise": {"variant": "iid-gaussian"}, "replications": 30,
                       "master_seed": 4200 + idx, "oracle_A": over["signal"]["A"], **over}
             digests[f"criterion-9-{idx}-pool-2"] = _simulate_digest(config)
+    if pools != [2] * len(CRITERION_9):
+        raise RuntimeError(f"the criterion 9 cases started pools of {pools}, not one of 2 each")
     with _run_setting("1"):
         for K in (0.3, 1.0, 4.0):
             config = {**README_CONFIG, "K": K, "noise": {"variant": "rademacher"}}

@@ -162,6 +162,18 @@ class TestPhaseTable:
     def test_separation_parameterization(self):
         a = separation_for_level(1000, 10, 8.0, 2.0)
         assert a == pytest.approx(2.0 * math.sqrt(8.0 * math.log(math.e * 100)), rel=1e-15)
+        # the edges of the domain: level 0, and s = n
+        assert separation_for_level(10, 2, 0.0, 1.0) == 0.0
+        assert separation_for_level(10, 10, 4.0, 1.0) == 2.0
+
+    @pytest.mark.parametrize("n, s, level, sigma", [
+        (0, 1, 1.0, 1.0), (10, 0, 1.0, 1.0), (10, 11, 1.0, 1.0),
+        (10, 2, -1.0, 1.0), (10, 2, math.nan, 1.0), (10, 2, math.inf, 1.0),
+        (10, 2, 1.0, 0.0), (10, 2, 1.0, -1.0), (10, 2, 1.0, math.nan), (10, 2, 1.0, math.inf),
+    ])
+    def test_separation_domain(self, n, s, level, sigma):
+        with pytest.raises(DomainError):
+            separation_for_level(n, s, level, sigma)
 
     def test_grid_product(self):
         rows = phase_table([500, 1000], [10, 20, 40], [1.0, 4.0], 1.0)

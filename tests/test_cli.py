@@ -176,6 +176,15 @@ class TestBound:
             assert fields[0] == "1000"
             assert fields[5] in {"inconsistent", "lower-bounded", "vacuous"}
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--s", "0", "s <= n"), ("--n", "0", "s <= n"), ("--A", "-1", "level A"),
+    ])
+    def test_out_of_domain_exit_2(self, capsys, flag, value, field):
+        argv = {"--n": "1000", "--s": "10", "--A": "2", "--sigma": "1", flag: value}
+        code, out, err = run_cli(capsys, "bound", *[t for item in argv.items() for t in item])
+        assert code == 2 and field in err
+        assert out == ""
+
 
 class TestNoiseCheck:
     def test_inline_model(self, capsys):
@@ -201,6 +210,18 @@ class TestNoiseCheck:
         )
         assert code == 0
         assert json.loads(out)["passes"] is True
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--m-grid", "nan,1", "m_grid"), ("--m-grid", "0,inf", "m_grid"),
+        ("--C", "inf", "per_coordinate_budget"),
+    ])
+    def test_non_finite_input_exit_2(self, capsys, flag, value, field):
+        code, out, err = run_cli(
+            capsys, "noise-check", "--model", '{"variant": "iid-gaussian"}', "--C", "1",
+            "--reps", "100", "--n", "20", "--sizes", "2", flag, value,
+        )
+        assert code == 2 and field in err
+        assert out == ""
 
     def test_bad_model_json(self, capsys):
         code, _, err = run_cli(
@@ -245,6 +266,16 @@ class TestUq:
             capsys, "uq", "--reps-in", str(p), "--n", "100", "--alpha4-prime", "nan"
         )
         assert code == 2 and "alpha4_prime" in err
+        assert out == ""
+
+    def test_zero_n_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "reps.csv"
+        p.write_text(
+            "rep,false_pos,false_neg,selected_size,preselector_size,active_size,hamming\n"
+            "1,0,0,0,0,0,0\n"
+        )
+        code, out, err = run_cli(capsys, "uq", "--reps-in", str(p), "--n", "0")
+        assert code == 2 and "n must be >= 1" in err
         assert out == ""
 
 

@@ -206,15 +206,19 @@ class TestRunExperiment:
         ja.pop("wall_time_s"), jb.pop("wall_time_s")
         assert ja == jb
 
-    def test_serial_equals_parallel(self, monkeypatch):
-        # 40 reps at n = 40 lie below the pool's work threshold; drop it so
-        # that the workers run
+    def test_serial_equals_parallel(self, monkeypatch, pool_sizes):
+        # 40 reps at n = 40 lie below the pool's work threshold and fit in one
+        # batch; drop the threshold and cap batches at 10 reps, so that the
+        # workers run
         monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 0)
+        monkeypatch.setattr(harness, "_BATCH_COORDS", 10 * 40)
         cfg = experiment_config_from_dict(base_config(replications=40))
         monkeypatch.setenv("HULLSELECT_THREADS", "1")
         serial = run_experiment(cfg)
+        assert pool_sizes == []
         monkeypatch.setenv("HULLSELECT_THREADS", "4")
         parallel = run_experiment(cfg)
+        assert pool_sizes == [4]
         assert per_rep_csv_text(serial.records) == per_rep_csv_text(parallel.records)
         js, jp = json.loads(serial.to_json()), json.loads(parallel.to_json())
         js.pop("wall_time_s"), jp.pop("wall_time_s")
@@ -290,9 +294,10 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_pool_runs_rep_ranges_at_the_work_threshold(self, monkeypatch):
-        # an in-process stand-in for the pool records its size and the rep
-        # ranges it gets, and starts no process
-        sizes, spans = [], []
+        # an in-process stand-in for the pool records its size and starts no
+        # process; a spy on _batch_records records the rep ranges that serial
+        # and pooled runs select
+        sizes, batches = [], []
 
         class InlinePool:
             def __init__(self, max_workers, initializer, initargs):
@@ -306,11 +311,21 @@ class TestRunExperiment:
                 return False
 
             def map(self, fn, jobs):
-                spans.extend(jobs)
                 return map(fn, jobs)
+
+        real = harness._batch_records
+
+        def recording_batch(ctx, reps):
+            batches.append(reps)
+            return real(ctx, reps)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(harness, "_WORKER_CTX", None)
+        monkeypatch.setattr(harness, "_batch_records", recording_batch)
+        default_cap = harness._BATCH_COORDS
+        # batches of 3 reps at n = 40: 14 full ones, then rep 43 alone
+        monkeypatch.setattr(harness, "_BATCH_COORDS", 3 * 40)
+        expect = [range(r, min(r + 3, 44)) for r in range(1, 44, 3)]
         cfg = experiment_config_from_dict(
             base_config(signal={"s": 4, "A": 2.0}, K=1.0, replications=43)
         )
@@ -318,25 +333,27 @@ class TestRunExperiment:
         monkeypatch.setenv("HULLSELECT_THREADS", "4")
         for threshold, pooled in ((43 * 40 + 1, False), (43 * 40, True)):
             monkeypatch.setattr(harness, "_POOL_MIN_COORDS", threshold)
-            spans.clear()
+            sizes.clear()
+            batches.clear()
             assert run_experiment(cfg).records == serial
-            assert bool(spans) == pooled
-        # 43 // (4 * 4) = 2 reps per range, in order, the last one short
-        assert spans == [(r, r + 1) for r in range(1, 43, 2)] + [(43, 43)]
-        assert sizes == [4]
+            # serial and pooled runs select the same batch list, in order
+            assert batches == expect
+            assert sizes == ([4] if pooled else [])
 
-        # 64 workers asked for, but only 43 one-rep ranges to run
+        # 64 workers asked for, but only 15 batches to run
         monkeypatch.setenv("HULLSELECT_THREADS", "64")
         sizes.clear()
         assert run_experiment(cfg).records == serial
-        assert sizes == [43]
+        assert sizes == [15]
 
-        # one rep is one range, so no pool even with the threshold at 0
+        # at the default cap the 43 reps are one batch, so no pool even with
+        # the threshold at 0
+        monkeypatch.setattr(harness, "_BATCH_COORDS", default_cap)
         monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 0)
-        one = experiment_config_from_dict(base_config(replications=1))
         sizes.clear()
-        assert run_experiment(one).records
-        assert sizes == []
+        batches.clear()
+        assert run_experiment(cfg).records == serial
+        assert (sizes, batches) == ([], [range(1, 44)])
 
     def test_seed_changes_output(self):
         # borderline regime so per-replication records actually vary

@@ -191,6 +191,15 @@ class TestTailDiagnostic:
         assert report.passes
         assert report.fitted_slope is None or report.fitted_slope < 0
 
+    @pytest.mark.parametrize("budget, grid", [
+        (1.0, [math.nan, 1.0]), (1.0, [0.0, math.inf]), (1.0, [-math.inf]), (math.inf, [1.0]),
+    ])
+    def test_non_finite_inputs(self, budget, grid):
+        with pytest.raises(DomainError):
+            tail_decay_diagnostic(
+                IidGaussian(), 10, budget, grid, [2], reps=100, rng=np.random.default_rng(0)
+            )
+
     def test_validation(self):
         with pytest.raises(DomainError):
             tail_decay_diagnostic(

@@ -23,7 +23,8 @@ from hullselect import (
 )
 from hullselect import _sweep
 from hullselect.core import ROOT_MAX
-from hullselect._sweep import exact_minimizers, penalty_vector, sweep_argmin, sweep_argmin_block
+from hullselect import _sweep
+from hullselect._sweep import penalty_vector, sweep_argmin, sweep_argmin_block
 
 
 def exact_reference(v, weight, q, prefer_small):
@@ -155,19 +156,21 @@ def test_crafted_ties_from_the_selector_suite():
     assert_matches_reference([100.0, p2 - p1], w)  # {1} ties {1, 2}
 
 
-def test_level_zero_returns_support_without_rational_work():
+def test_level_zero_returns_support_without_rational_work(monkeypatch):
     v = np.zeros(1000)
     v[[3, 500, 999]] = [4.0, 1e-300, 7.0]
 
-    def no_exact(cands):
+    def no_fraction(x):
         raise AssertionError("zero-bound candidates must compare as floats")
 
+    monkeypatch.setattr(_sweep, "Fraction", no_fraction)
+    # every k from 3 to 1000 is a candidate with bound 0, so none needs a Fraction
     k, order, value = sweep_argmin(v, 0.0, Q_DEFAULT, prefer_small=True)
     assert (k, sorted(order[:k].tolist()), value) == (3, [3, 500, 999], 0.0)
-    suffix = np.cumsum(v[order][::-1])[::-1]
-    approx = np.append(suffix, 0.0)
-    err = approx * 2.0**-40
-    assert exact_minimizers(approx, err, no_exact).tolist() == list(range(3, 1001))
+    # a tie with nonzero bounds does reach the patched Fraction
+    p1 = sparsity_penalty(1, 2)
+    with pytest.raises(AssertionError, match="zero-bound"):
+        sweep_argmin(np.array([p1, 0.0]), 1.0, Q_DEFAULT, prefer_small=True)
 
 
 def assert_block_matches_reference(rows, weight, q=Q_DEFAULT):

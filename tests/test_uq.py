@@ -37,6 +37,9 @@ class TestRadius:
             confidence_radius(-1, 10, 1.0)
         with pytest.raises(DomainError):
             confidence_radius(11, 10, 1.0)
+        for n in (0, -3):
+            with pytest.raises(DomainError, match="n must be >= 1"):
+                confidence_radius(0, n, 1.0)
         for alpha in (-0.5, math.nan, math.inf):
             with pytest.raises(DomainError):
                 confidence_radius(2, 10, alpha)
