@@ -89,8 +89,7 @@ def _cmd_simulate(args) -> int:
         updates["report_path"] = args.out
     if args.reps_out is not None:
         updates["reps_path"] = args.reps_out
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
+    cfg = dataclasses.replace(cfg, **updates)
     report = run_experiment(cfg)
     write_outputs(report, cfg.report_path, cfg.reps_path)
     if cfg.report_path is None:

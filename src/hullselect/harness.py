@@ -318,8 +318,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     The reps are split once into batches of at most _BATCH_COORDS
     coordinates. A run of fewer than _POOL_MIN_COORDS coordinates (reps
-    times n) loops over them serially; a larger one hands them as tasks to
-    a pool of at most one worker per batch. HULLSELECT_THREADS is the only
+    times n) loops over them serially; a larger one cuts them to at least
+    four per worker and hands them to a pool. HULLSELECT_THREADS is the only
     worker setting (see resolve_workers). Outputs are identical for any
     worker count because records are aggregated in replication order from
     integer counts.
@@ -334,11 +334,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     reps = cfg.replications
     size = max(1, _BATCH_COORDS // cfg.n)
+    pooled = n_workers > 1 and reps * cfg.n >= _POOL_MIN_COORDS
+    if pooled:  # at least four batches per worker, so that uneven batch times even out
+        size = max(1, min(size, reps // (4 * n_workers)))
     batches = [range(first, min(first + size, reps + 1)) for first in range(1, reps + 1, size)]
-    n_workers = min(n_workers, len(batches))
-    if n_workers > 1 and reps * cfg.n >= _POOL_MIN_COORDS:
+    if pooled and len(batches) > 1:
         with ProcessPoolExecutor(
-            max_workers=n_workers, initializer=_init_worker, initargs=(ctx,)
+            max_workers=min(n_workers, len(batches)), initializer=_init_worker, initargs=(ctx,)
         ) as pool:
             parts = list(pool.map(_batch_records_in_worker, batches))
     else:

@@ -10,23 +10,12 @@ the worker pool did start one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from hullselect import SelectionMask, harness, sparsity_penalty
-
-
-def recording_pool(sizes: list[int]) -> type:
-    """A ProcessPoolExecutor that appends each started pool's worker count to sizes."""
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    return RecordingPool
+from record_golden import recording_pool
 
 
 @pytest.fixture

@@ -16,11 +16,11 @@ import json
 import os
 import sys
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import recording_pool
 from hullselect import harness
 from hullselect.cli import main as cli_main
 
@@ -49,6 +49,17 @@ CRITERION_9 = [
 
 TIED = [3.0, -3.0, 3.0, 1.0, -1.0, 1.0, 0.0, 0.0, 2.0, -2.0]
 ZERO = [0.0] * 8
+
+
+def recording_pool(sizes: list[int]) -> type:
+    """A ProcessPoolExecutor that appends each started pool's worker count to sizes."""
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    return RecordingPool
 
 
 @contextmanager
@@ -96,10 +107,9 @@ def compute_digests() -> dict[str, str]:
         digests["readme"] = _simulate_digest(README_CONFIG)
     with _run_setting("1", _BATCH_COORDS=1):
         digests["readme-cap-1"] = _simulate_digest(README_CONFIG)
-    # 500-coordinate batches split each criterion 9 run into 3 to 5 pool tasks
+    # without the work threshold each criterion 9 run hands 2 workers 10 batches
     pools: list[int] = []
-    with _run_setting("2", _POOL_MIN_COORDS=0, _BATCH_COORDS=500,
-                      ProcessPoolExecutor=recording_pool(pools)):
+    with _run_setting("2", _POOL_MIN_COORDS=0, ProcessPoolExecutor=recording_pool(pools)):
         for idx, over in enumerate(CRITERION_9):
             config = {"sigma": 1.0, "noise": {"variant": "iid-gaussian"}, "replications": 30,
                       "master_seed": 4200 + idx, "oracle_A": over["signal"]["A"], **over}

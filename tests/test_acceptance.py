@@ -214,11 +214,9 @@ def test_criterion_8_lower_bound_numerics():
 
 def test_criterion_9_simulate_determinism(tmp_path, monkeypatch, pool_sizes):
     with criterion(9, "per-rep CSV bitwise identical: serial vs parallel vs re-run, 3 configs"):
-        # these configs lie below the pool's work threshold and fit in one
-        # batch; drop the threshold and cap batches at 500 coordinates, so
-        # that the parallel run hands 3 to 5 batches to the pool
+        # these configs lie below the pool's work threshold; drop it, so
+        # that the parallel run hands 30 one-rep batches to 4 workers
         monkeypatch.setattr("hullselect.harness._POOL_MIN_COORDS", 0)
-        monkeypatch.setattr("hullselect.harness._BATCH_COORDS", 500)
         configs = [
             {"signal": {"s": 3, "A": 16.0}, "n": 50, "K": 4.0},
             {"signal": {"s": 5, "A": 2.0}, "n": 80, "K": 1.0},
@@ -248,8 +246,8 @@ def test_criterion_9_simulate_determinism(tmp_path, monkeypatch, pool_sizes):
                 assert code == 0
                 outputs.append(reps.read_bytes())
             assert outputs[0] == outputs[1] == outputs[2]
-        # one pool per config, from the parallel run alone: 3, 5 and 4 batches
-        assert pool_sizes == [3, 4, 4]
+        # one pool of 4 per config, from the parallel run alone
+        assert pool_sizes == [4, 4, 4]
 
 
 def test_criterion_10_noise_diagnostic():

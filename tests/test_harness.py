@@ -207,11 +207,9 @@ class TestRunExperiment:
         assert ja == jb
 
     def test_serial_equals_parallel(self, monkeypatch, pool_sizes):
-        # 40 reps at n = 40 lie below the pool's work threshold and fit in one
-        # batch; drop the threshold and cap batches at 10 reps, so that the
-        # workers run
+        # 40 reps at n = 40 lie below the pool's work threshold; drop it, so
+        # that the 4 workers run 20 batches of 2 reps
         monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 0)
-        monkeypatch.setattr(harness, "_BATCH_COORDS", 10 * 40)
         cfg = experiment_config_from_dict(base_config(replications=40))
         monkeypatch.setenv("HULLSELECT_THREADS", "1")
         serial = run_experiment(cfg)
@@ -319,41 +317,79 @@ class TestRunExperiment:
             batches.append(reps)
             return real(ctx, reps)
 
+        def run(cfg):
+            sizes.clear()
+            batches.clear()
+            return run_experiment(cfg).records
+
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(harness, "_WORKER_CTX", None)
         monkeypatch.setattr(harness, "_batch_records", recording_batch)
-        default_cap = harness._BATCH_COORDS
-        # batches of 3 reps at n = 40: 14 full ones, then rep 43 alone
-        monkeypatch.setattr(harness, "_BATCH_COORDS", 3 * 40)
-        expect = [range(r, min(r + 3, 44)) for r in range(1, 44, 3)]
         cfg = experiment_config_from_dict(
             base_config(signal={"s": 4, "A": 2.0}, K=1.0, replications=43)
         )
-        serial = run_experiment(cfg).records
-        monkeypatch.setenv("HULLSELECT_THREADS", "4")
-        for threshold, pooled in ((43 * 40 + 1, False), (43 * 40, True)):
-            monkeypatch.setattr(harness, "_POOL_MIN_COORDS", threshold)
-            sizes.clear()
-            batches.clear()
-            assert run_experiment(cfg).records == serial
-            # serial and pooled runs select the same batch list, in order
-            assert batches == expect
-            assert sizes == ([4] if pooled else [])
-
-        # 64 workers asked for, but only 15 batches to run
-        monkeypatch.setenv("HULLSELECT_THREADS", "64")
-        sizes.clear()
-        assert run_experiment(cfg).records == serial
-        assert sizes == [15]
-
-        # at the default cap the 43 reps are one batch, so no pool even with
-        # the threshold at 0
-        monkeypatch.setattr(harness, "_BATCH_COORDS", default_cap)
-        monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 0)
-        sizes.clear()
-        batches.clear()
-        assert run_experiment(cfg).records == serial
+        monkeypatch.setenv("HULLSELECT_THREADS", "1")
+        serial = run(cfg)
         assert (sizes, batches) == ([], [range(1, 44)])
+
+        monkeypatch.setenv("HULLSELECT_THREADS", "4")
+        monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 43 * 40 + 1)
+        assert run(cfg) == serial
+        assert (sizes, batches) == ([], [range(1, 44)])
+        # at the threshold the pool gets at least four batches per worker:
+        # 43 // (4 * 4) = 2 reps each, in order, the last one alone
+        monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 43 * 40)
+        assert run(cfg) == serial
+        assert (sizes, batches) == ([4], [range(r, min(r + 2, 44)) for r in range(1, 44, 2)])
+
+        # the coordinate cap still bounds a pooled batch: one rep each
+        default_cap = harness._BATCH_COORDS
+        monkeypatch.setattr(harness, "_BATCH_COORDS", 40)
+        assert run(cfg) == serial
+        assert (sizes, batches) == ([4], [range(r, r + 1) for r in range(1, 44)])
+        monkeypatch.setattr(harness, "_BATCH_COORDS", default_cap)
+
+        # 64 workers asked for, but only 43 one-rep batches to run
+        monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 0)
+        monkeypatch.setenv("HULLSELECT_THREADS", "64")
+        assert run(cfg) == serial
+        assert (sizes, len(batches)) == ([43], 43)
+
+        # a run of one rep is one batch, so no pool even with the threshold at 0
+        one = experiment_config_from_dict(base_config(replications=1))
+        run(one)
+        assert (sizes, batches) == ([], [range(1, 2)])
+
+    def test_pooled_batches_split_mc_large_as_rep_ranges_did(self, monkeypatch):
+        # n = 1e5, 20 reps: the cap holds 2 reps; 2 workers get 10 tasks of
+        # 2 reps, and 4 or more get 20 tasks of 1 rep, as the pool's rep
+        # ranges of reps // (4 * workers) did
+        tasks = []
+
+        class CountingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                tasks.append([len(job) for job in jobs])
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(harness, "_WORKER_CTX", None)
+        cfg = experiment_config_from_dict(
+            base_config(n=100_000, signal={"s": 10, "A": 16.0}, replications=20)
+        )
+        for threads, split in (("2", [2] * 10), ("4", [1] * 20), ("8", [1] * 20)):
+            monkeypatch.setenv("HULLSELECT_THREADS", threads)
+            tasks.clear()
+            run_experiment(cfg)
+            assert tasks == [split]
 
     def test_seed_changes_output(self):
         # borderline regime so per-replication records actually vary

@@ -23,7 +23,6 @@ from hullselect import (
 )
 from hullselect import _sweep
 from hullselect.core import ROOT_MAX
-from hullselect import _sweep
 from hullselect._sweep import penalty_vector, sweep_argmin, sweep_argmin_block
 
 
