@@ -8,9 +8,11 @@ alike. A batch's noise is drawn as one block, row by row from each rep's
 own stream. The block is squared in place and selected in slices of rows
 by the sweep's block form, which hands any row its float filter leaves open
 to the row kernel that ``select`` runs. Each slice's thresholds, subset
-check and confusion counts are taken over its rows at once. All aggregation
-happens afterwards from the ordered records, so serial and worker-pool
-execution and every batch size produce byte-identical outputs.
+check and confusion counts are taken over its rows at once. A large run maps
+its batches over a pool of threads: each rep's generator lives in one batch,
+so in one thread, and the context the batches share is read only. All
+aggregation happens afterwards from the ordered records, so serial and
+pooled execution and every batch size produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -176,14 +178,17 @@ class RepRecord:
 
 
 # A batch's noise block holds at most this many coordinates (2 MiB of
-# float64), so a run's memory does not grow with its rep count.
+# float64), so a run's memory does not grow with its rep count; a pooled run
+# holds up to one block per worker at once.
 _BATCH_COORDS = 2**18
 # A batch is selected in slices of this many rows, which bounds the
 # selection's work arrays whatever the batch size; larger slices select no
 # faster.
 _SELECT_ROWS = 64
-# A run of fewer coordinates (reps times n) than this stays serial: below it
-# starting a worker pool costs more than the workers save.
+# A run of fewer coordinates (reps times n) than this stays serial. Only
+# numpy's bulk draws, sorts and sums release the interpreter lock; a small-n
+# run spends most of its time in Python (the AR(1) recurrence, per-rep
+# records), where threads contend for the lock and run slower than one.
 _POOL_MIN_COORDS = 2**20
 
 
@@ -232,19 +237,6 @@ def _batch_records(ctx: _RepContext, reps: range) -> list[RepRecord]:
             records.append(RepRecord(rep, false_pos, false_neg, size, pre, len(ctx.active),
                                      false_pos + false_neg))
     return records
-
-
-_WORKER_CTX: _RepContext | None = None
-
-
-def _init_worker(ctx: _RepContext) -> None:
-    """Pool initializer: receive the shared rep context once per worker."""
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _batch_records_in_worker(reps: range) -> list[RepRecord]:
-    return _batch_records(_WORKER_CTX, reps)
 
 
 def resolve_workers() -> int:
@@ -319,10 +311,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     The reps are split once into batches of at most _BATCH_COORDS
     coordinates. A run of fewer than _POOL_MIN_COORDS coordinates (reps
     times n) loops over them serially; a larger one cuts them to at least
-    four per worker and hands them to a pool. HULLSELECT_THREADS is the only
-    worker setting (see resolve_workers). Outputs are identical for any
-    worker count because records are aggregated in replication order from
-    integer counts.
+    four per worker and maps them over a thread pool, in order.
+    HULLSELECT_THREADS is the only worker setting (see resolve_workers).
+    Outputs are identical for any worker count because records are
+    aggregated in replication order from integer counts.
     """
     t0 = time.perf_counter()
     n_workers = resolve_workers()
@@ -339,10 +331,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         size = max(1, min(size, reps // (4 * n_workers)))
     batches = [range(first, min(first + size, reps + 1)) for first in range(1, reps + 1, size)]
     if pooled and len(batches) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(n_workers, len(batches)), initializer=_init_worker, initargs=(ctx,)
-        ) as pool:
-            parts = list(pool.map(_batch_records_in_worker, batches))
+        with ThreadPoolExecutor(max_workers=min(n_workers, len(batches))) as pool:
+            parts = list(pool.map(_batch_records, [ctx] * len(batches), batches))
     else:
         # one call per batch, so that a batch's block is freed before the next is drawn
         parts = [_batch_records(ctx, batch) for batch in batches]

@@ -222,8 +222,9 @@ def tail_decay_diagnostic(
     subset of size s and a noise vector; the excess over the linear budget
     ``per_coordinate_budget * s`` is pooled across sizes and thresholded at
     every M in ``m_grid``. A line is fit to log-survival over the positive
-    points; the check passes when the slope is at most -slope_threshold.
-    This is a sanity diagnostic, not a certificate.
+    points; the check passes when the slope is at most -slope_threshold,
+    which must be finite and > 0. This is a sanity diagnostic, not a
+    certificate.
     """
     if reps < 100:
         raise DomainError(f"reps must be >= 100, got {reps}")
@@ -234,6 +235,8 @@ def tail_decay_diagnostic(
             raise DomainError(f"subset size {s} outside [1, {n}]")
     if not (0 < per_coordinate_budget < math.inf):
         raise DomainError(f"per_coordinate_budget must be finite and > 0, got {per_coordinate_budget}")
+    if not (0 < slope_threshold < math.inf):
+        raise DomainError(f"slope_threshold must be finite and > 0, got {slope_threshold}")
     grid = tuple(sorted(float(m) for m in m_grid))
     if not all(map(math.isfinite, grid)):
         raise DomainError(f"m_grid points must be finite, got {list(m_grid)}")

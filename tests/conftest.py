@@ -22,7 +22,7 @@ from record_golden import recording_pool
 def pool_sizes(monkeypatch) -> list[int]:
     """Worker counts of the pools that runs start while the test runs, in order."""
     sizes: list[int] = []
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", recording_pool(sizes))
     return sizes
 
 

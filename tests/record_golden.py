@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -52,9 +52,9 @@ ZERO = [0.0] * 8
 
 
 def recording_pool(sizes: list[int]) -> type:
-    """A ProcessPoolExecutor that appends each started pool's worker count to sizes."""
+    """A ThreadPoolExecutor that appends each started pool's worker count to sizes."""
 
-    class RecordingPool(ProcessPoolExecutor):
+    class RecordingPool(ThreadPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
@@ -109,7 +109,7 @@ def compute_digests() -> dict[str, str]:
         digests["readme-cap-1"] = _simulate_digest(README_CONFIG)
     # without the work threshold each criterion 9 run hands 2 workers 10 batches
     pools: list[int] = []
-    with _run_setting("2", _POOL_MIN_COORDS=0, ProcessPoolExecutor=recording_pool(pools)):
+    with _run_setting("2", _POOL_MIN_COORDS=0, ThreadPoolExecutor=recording_pool(pools)):
         for idx, over in enumerate(CRITERION_9):
             config = {"sigma": 1.0, "noise": {"variant": "iid-gaussian"}, "replications": 30,
                       "master_seed": 4200 + idx, "oracle_A": over["signal"]["A"], **over}

@@ -1,11 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hullselect import active_set_path, sparsity_penalty
 from hullselect.cli import main
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +221,10 @@ class TestNoiseCheck:
     @pytest.mark.parametrize("flag, value, field", [
         ("--m-grid", "nan,1", "m_grid"), ("--m-grid", "0,inf", "m_grid"),
         ("--C", "inf", "per_coordinate_budget"),
+        ("--slope-threshold", "nan", "slope_threshold"),
+        ("--slope-threshold", "inf", "slope_threshold"),
+        ("--slope-threshold", "0", "slope_threshold"),
+        ("--slope-threshold", "-0.1", "slope_threshold"),
     ])
     def test_non_finite_input_exit_2(self, capsys, flag, value, field):
         code, out, err = run_cli(
@@ -343,3 +354,14 @@ def test_malformed_input_exit_code_2(capsys, tmp_path, command, payload, field):
     code, out, err = run_cli(capsys, *malformed_argv(tmp_path, command, payload))
     assert code == 2 and out == ""
     assert f"config field '{field}'" in err
+
+
+def test_import_loads_no_process_machinery():
+    # the replication pool runs on threads; a fresh interpreter shows what
+    # importing the CLI loads
+    code = ("import sys, hullselect.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 from pathlib import Path
 
 import jsonschema
@@ -23,7 +25,7 @@ from hullselect import (
     select,
     stream_seed,
 )
-from hullselect import harness
+from hullselect import _sweep, harness
 from hullselect.harness import read_per_rep_csv, resolve_workers
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.schema.json").read_text())
@@ -222,6 +224,30 @@ class TestRunExperiment:
         js.pop("wall_time_s"), jp.pop("wall_time_s")
         assert js == jp
 
+    def test_thread_pool_under_fast_switching_equals_serial(self, monkeypatch, pool_sizes):
+        # more threads than cores, switching every microsecond, all missing
+        # the cold penalty caches at once, with 8 two-row slices per batch:
+        # a stream, buffer or cache entry shared between threads would
+        # change some record
+        monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 0)
+        monkeypatch.setattr(harness, "_SELECT_ROWS", 2)
+        cfg = experiment_config_from_dict(
+            base_config(n=97, signal={"s": 4, "A": 2.0}, K=1.0, replications=512)
+        )
+        monkeypatch.setenv("HULLSELECT_THREADS", "1")
+        serial = run_experiment(cfg).records
+        monkeypatch.setenv("HULLSELECT_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                _sweep.penalty_vector.cache_clear()
+                _sweep._penalty_bounds.cache_clear()
+                assert run_experiment(cfg).records == serial
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool_sizes == [8] * 3
+
     @pytest.mark.parametrize("over", [
         {"noise": {"variant": "iid-gaussian"}},
         {"noise": {"variant": "ar1", "rho": 0.5}},
@@ -267,7 +293,24 @@ class TestRunExperiment:
             assert blocks == sizes
             assert [dataclasses.astuple(r) for r in records] == expect
 
-    def test_selected_outside_preselector_is_runtime_error(self, monkeypatch):
+    @staticmethod
+    def raised_by_run(cfg, mode, monkeypatch, pool_sizes) -> Exception:
+        """The exception a run raises, serially or on a forced pool of 2 threads.
+
+        The pooled run must start its pool and leave no worker thread behind.
+        """
+        monkeypatch.setenv("HULLSELECT_THREADS", "1" if mode == "serial" else "2")
+        if mode == "pool-2":
+            monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 0)
+        before = threading.active_count()
+        with pytest.raises(Exception) as info:
+            run_experiment(cfg)
+        assert pool_sizes == ([] if mode == "serial" else [2])
+        assert threading.active_count() == before
+        return info.value
+
+    @pytest.mark.parametrize("mode", ["serial", "pool-2"])
+    def test_selected_outside_preselector_is_runtime_error(self, monkeypatch, pool_sizes, mode):
         real = harness.sweep_argmin_block
 
         def dropping_top(v, weight, q):
@@ -279,28 +322,31 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "sweep_argmin_block", dropping_top)
         cfg = experiment_config_from_dict(base_config(replications=5))
-        with pytest.raises(RuntimeError, match="outside the preselector"):
-            run_experiment(cfg)
+        exc = self.raised_by_run(cfg, mode, monkeypatch, pool_sizes)
+        assert type(exc) is RuntimeError
+        assert str(exc) == "selector produced a coordinate outside the preselector"
 
-    def test_observation_without_finite_square_is_domain_error(self):
+    @pytest.mark.parametrize("mode", ["serial", "pool-2"])
+    def test_observation_without_finite_square_is_domain_error(self, monkeypatch, pool_sizes,
+                                                                mode):
         # sigma^2 is finite but sigma * xi passes ROOT_MAX; K = 1 and level 0
         # keep every penalty weight finite, so only the observation overflows
         cfg = experiment_config_from_dict(
             base_config(sigma=1e154, K=1.0, signal={"theta": [0.0] * 40}, oracle_A=0.0)
         )
-        with pytest.raises(DomainError, match="x must be finite with a finite square"):
-            run_experiment(cfg)
+        exc = self.raised_by_run(cfg, mode, monkeypatch, pool_sizes)
+        assert type(exc) is DomainError
+        assert str(exc) == "x must be finite with a finite square"
 
     def test_pool_runs_rep_ranges_at_the_work_threshold(self, monkeypatch):
-        # an in-process stand-in for the pool records its size and starts no
-        # process; a spy on _batch_records records the rep ranges that serial
+        # an inline stand-in for the pool records its size and starts no
+        # thread; a spy on _batch_records records the rep ranges that serial
         # and pooled runs select
         sizes, batches = [], []
 
         class InlinePool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -308,8 +354,8 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         real = harness._batch_records
 
@@ -322,8 +368,7 @@ class TestRunExperiment:
             batches.clear()
             return run_experiment(cfg).records
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(harness, "_WORKER_CTX", None)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(harness, "_batch_records", recording_batch)
         cfg = experiment_config_from_dict(
             base_config(signal={"s": 4, "A": 2.0}, K=1.0, replications=43)
@@ -367,8 +412,8 @@ class TestRunExperiment:
         tasks = []
 
         class CountingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                initializer(*initargs)
+            def __init__(self, max_workers):
+                pass
 
             def __enter__(self):
                 return self
@@ -376,12 +421,11 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, ctxs, jobs):
                 tasks.append([len(job) for job in jobs])
-                return map(fn, jobs)
+                return map(fn, ctxs, jobs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(harness, "_WORKER_CTX", None)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
         cfg = experiment_config_from_dict(
             base_config(n=100_000, signal={"s": 10, "A": 16.0}, replications=20)
         )

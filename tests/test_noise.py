@@ -200,6 +200,14 @@ class TestTailDiagnostic:
                 IidGaussian(), 10, budget, grid, [2], reps=100, rng=np.random.default_rng(0)
             )
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -0.1])
+    def test_slope_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(DomainError, match="slope_threshold"):
+            tail_decay_diagnostic(
+                IidGaussian(), 10, 1.0, [1.0], [2], reps=100, rng=np.random.default_rng(0),
+                slope_threshold=threshold,
+            )
+
     def test_validation(self):
         with pytest.raises(DomainError):
             tail_decay_diagnostic(
