@@ -19,9 +19,9 @@ the minimum and its tie set are those of the rational values of C, as if
 all sums and products were carried out without rounding. The sweep
 evaluates C in floats from one cumsum, brackets each value with a rigorous
 summation error bound (Higham, *Accuracy and Stability of Numerical
-Algorithms*, ch. 4), and re-decides in ``Fraction`` arithmetic only the
-cardinalities whose bracket reaches the minimum (the float-filter idea of
-Shewchuk's adaptive predicates).
+Algorithms*, ch. 4), and re-decides in scaled integers (``_as_ints``) only
+the cardinalities whose bracket reaches the minimum (the float-filter idea
+of Shewchuk's adaptive predicates).
 
 Floor lemma. If k >= 1 is optimal, then v_(k) >= w * (p[k] - p[k-1]) for
 the k-th largest score v_(k): otherwise dropping that coordinate lowers C.
@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -74,6 +74,13 @@ def _penalty_bounds(n: int, q: float) -> tuple[float, float]:
     """(min_j (p[j] - p[j-1]), max_k |p[k]|) of the float penalty vector."""
     pen = penalty_vector(n, q)
     return float(np.min(np.diff(pen))), float(np.max(np.abs(pen)))
+
+
+def _as_ints(values: np.ndarray) -> tuple[list[int], int]:
+    """Exact integer numerators of finite floats over one power-of-two denominator."""
+    ratios = [x.as_integer_ratio() for x in values.tolist()]
+    den = max(d for _, d in ratios)
+    return [num * (den // d) for num, d in ratios], den
 
 
 def order_by_score(v: np.ndarray) -> np.ndarray:
@@ -182,19 +189,16 @@ def sweep_argmin(
     ties = _candidates(suffix + weight * pen[: m + 1], err).nonzero()[0]
     if len(ties) > 1 and err[ties].any():
         # Re-decide exactly, unless every candidate bound is 0 and each
-        # candidate float equals the minimum already. The Fractions are
-        # D(k) - sum(top[a:]) for the anchor a = largest candidate.
-        fw = Fraction(weight)
-        values = []
-        acc = Fraction(0)
-        j = int(ties[-1])
-        for k in reversed(ties.tolist()):
-            for x in top[k:j].tolist():
-                acc += Fraction(x)
-            j = k
-            values.append(acc + fw * Fraction(float(pen[k])))
+        # candidate float equals the minimum already. The values are
+        # D(k) - sum(top[a:]) for the anchor a = largest candidate, in
+        # integers scaled by the scores' and penalties' one denominator and wd.
+        lo, a = int(ties[0]), int(ties[-1])
+        ints, _ = _as_ints(np.concatenate((top[lo:a], pen[ties])))
+        sums = list(accumulate(reversed(ints[: a - lo]), initial=0))[::-1]
+        wn, wd = float(weight).as_integer_ratio()
+        values = [sums[k - lo] * wd + wn * p for k, p in zip(ties.tolist(), ints[a - lo :])]
         best = min(values)
-        ties = ties[[x == best for x in values[::-1]]]
+        ties = ties[[x == best for x in values]]
     if len(ties) == 1 or prefer_small:
         # Candidates are nested, so sum(i) grows strictly with k: the
         # smallest tied cardinality has the smallest index sum.

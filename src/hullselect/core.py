@@ -94,12 +94,14 @@ def sparsity_penalty(k: int | float, n: int, q: float = Q_DEFAULT) -> float:
     Raises
     ------
     DomainError
-        If k < 0 or k > n.
+        If k < 0 or k > n, or if q*n is not finite.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if k < 0 or k > n:
         raise DomainError(f"k must lie in [0, {n}], got {k}")
+    if not math.isfinite(q * n):
+        raise DomainError(f"q*n must be finite, got q = {q} and n = {n}")
     if k == 0:
         return 0.0
     return k * math.log(q * n / k)

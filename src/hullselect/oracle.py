@@ -13,14 +13,13 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from ._sweep import _penalty_bounds, order_by_score, penalty_vector, sweep_argmin
+from ._sweep import _as_ints, _penalty_bounds, order_by_score, penalty_vector, sweep_argmin
 from .core import Q_DEFAULT, DomainError, SelectionMask, check_sigma_q, finite_vector
 
 
@@ -84,27 +83,23 @@ class SelectionPathEntry:
         }
 
 
-def _as_ints(values: np.ndarray) -> tuple[list[int], int]:
-    """Exact integer numerators of finite floats over one power-of-two denominator."""
-    ratios = [x.as_integer_ratio() for x in values.tolist()]
-    den = max(d for _, d in ratios)
-    return [num * (den // d) for num, d in ratios], den
+def _least_level(num: int, den: int, s2: float) -> float:
+    """Smallest float a with a finite fl(a * s2) >= num/den > 0; inf if there is none.
 
-
-def _least_level(w: Fraction, s2: float) -> float:
-    """Smallest float a with a finite fl(a * s2) >= w > 0; inf if there is none."""
-    if s2 == 0 or w > sys.float_info.max:
+    Exact: the comparisons are in integers, and int/int division and a * s2 round correctly.
+    """
+    big = int(sys.float_info.max)
+    if s2 == 0 or num > big * den:
         return math.inf
-    top = float(w)  # fl(a * s2) reaches w iff it reaches top, the least float >= w
-    if top < w:
+    top = num / den  # fl(a * s2) reaches num/den iff it reaches top, the least float >= it
+    tn, td = top.as_integer_ratio()
+    if tn * den < num * td:
         top = math.nextafter(top, math.inf)
-    # x rounds to top or above iff x > mid, or x == mid and top's mantissa is even
-    mid = (Fraction(top) + Fraction(math.nextafter(top, 0.0))) / 2
-    bound = mid / Fraction(s2)
-    a = float(min(bound, sys.float_info.max))  # a bound past the range steps to inf
-    if a < bound or (a == bound and float(mid) < top):
-        a = math.nextafter(a, math.inf)
-    return a
+    # fl(x) >= top iff x passes mid, halfway to the float below top (on a tie, iff top's
+    # mantissa is even), so the least a is the float nearest mid / s2 or the one above it
+    (t, p, s), _ = _as_ints(np.array([top, math.nextafter(top, 0.0), s2]))
+    a = min(t + p, 2 * s * big) / (2 * s)  # a bound past the range steps to inf
+    return a if a * s2 >= top else math.nextafter(a, math.inf)
 
 
 def active_set_path(theta, sigma: float, q: float = Q_DEFAULT) -> list[SelectionPathEntry]:
@@ -144,8 +139,7 @@ def active_set_path(theta, sigma: float, q: float = Q_DEFAULT) -> list[Selection
     a_cur, k_cur = 0.0, hull.pop()
     entries: list[SelectionPathEntry] = []
     for k in reversed(hull):  # a crossing no finite level reaches ends the path
-        w = Fraction((suffix[k] - suffix[k_cur]) * den_p, (pen[k_cur] - pen[k]) * den_s)
-        a = _least_level(w, sigma**2)
+        a = _least_level((suffix[k] - suffix[k_cur]) * den_p, (pen[k_cur] - pen[k]) * den_s, sigma**2)
         if a > a_cur:
             active = SelectionMask.from_indices(order[:k_cur] + 1, n)
             entries.append(SelectionPathEntry(a_cur, a, active))
@@ -194,7 +188,8 @@ def strong_signal_vector(
 
     Coordinates 1..s get squared magnitude level*sigma^2*log(q*n/s) plus a
     relative margin of 1e-9, which pins the active set to {1..s} for every
-    penalty level up to ``level``. ``signs`` is "positive", "alternating",
+    penalty level up to ``level``. That squared magnitude must be a finite
+    normal float, or DomainError. ``signs`` is "positive", "alternating",
     an explicit +-1 sequence of length s, or a numpy Generator for random
     signs.
     """
@@ -204,6 +199,8 @@ def strong_signal_vector(
         raise DomainError(f"level must be positive, got {level}")
     check_sigma_q(sigma, q)
     magnitude = sigma * math.sqrt(level * math.log(q * n / s) * (1.0 + 1e-9))
+    if not sys.float_info.min <= magnitude * magnitude < math.inf:
+        raise DomainError(f"squared magnitude {magnitude * magnitude} is not a finite normal float")
     if isinstance(signs, str):
         if signs == "positive":
             sgn = np.ones(s)

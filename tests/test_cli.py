@@ -357,10 +357,10 @@ def test_malformed_input_exit_code_2(capsys, tmp_path, command, payload, field):
 
 
 def test_import_loads_no_process_machinery():
-    # the replication pool runs on threads; a fresh interpreter shows what
-    # importing the CLI loads
-    code = ("import sys, hullselect.cli; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])")
+    # the replication pool runs on threads and the exact decisions use scaled
+    # integers; a fresh interpreter shows what importing the CLI loads
+    names = ('multiprocessing', 'concurrent.futures.process', 'fractions', 'decimal')
+    code = f"import sys, hullselect.cli; print([m for m in {names!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -55,6 +55,9 @@ class TestSparsityPenalty:
             sparsity_penalty(-1, 4)
         with pytest.raises(DomainError):
             sparsity_penalty(5, 4)
+        for k in (0, 1, 2):  # q*n overflows; checked before the k = 0 convention
+            with pytest.raises(DomainError):
+                sparsity_penalty(k, 2, 1e308)
 
 
 class TestSelectionMask:

@@ -287,6 +287,7 @@ class TestActiveSetPath:
             lambda: active_set_path([1e200, 1.0], 1.0),
             lambda: active_set([1e200, 1.0], 1.0, 1.0),
             lambda: variable_selection_path([1.0, -1e155]),
+            lambda: active_set_path([1.0, 2.0], 1.0, q=1e308),  # q*n overflows
         ):
             with pytest.raises(DomainError):
                 call()
@@ -349,6 +350,12 @@ class TestStrongSignalVector:
                 res = active_set(theta, level * frac, 1.5)
                 assert res.active == SelectionMask(tuple(range(1, s + 1)), n)
             assert has_distinct_active_set(theta, 1.5, 0.0, level)
+
+    def test_square_outside_normal_range_is_domain_error(self):
+        # an infinite square, and a subnormal one that active_set would drop
+        for level, sigma in [(1e308, 1.0), (0.5, 1e-160)]:
+            with pytest.raises(DomainError):
+                strong_signal_vector(10, 1, level, sigma)
 
     def test_sign_patterns(self):
         alt = strong_signal_vector(6, 4, 1.0, 1.0, signs="alternating")

@@ -159,14 +159,14 @@ def test_level_zero_returns_support_without_rational_work(monkeypatch):
     v = np.zeros(1000)
     v[[3, 500, 999]] = [4.0, 1e-300, 7.0]
 
-    def no_fraction(x):
+    def no_ints(values):
         raise AssertionError("zero-bound candidates must compare as floats")
 
-    monkeypatch.setattr(_sweep, "Fraction", no_fraction)
-    # every k from 3 to 1000 is a candidate with bound 0, so none needs a Fraction
+    monkeypatch.setattr(_sweep, "_as_ints", no_ints)
+    # every k from 3 to 1000 is a candidate with bound 0, so none needs exact integers
     k, order, value = sweep_argmin(v, 0.0, Q_DEFAULT, prefer_small=True)
     assert (k, sorted(order[:k].tolist()), value) == (3, [3, 500, 999], 0.0)
-    # a tie with nonzero bounds does reach the patched Fraction
+    # a tie with nonzero bounds does reach the patched _as_ints
     p1 = sparsity_penalty(1, 2)
     with pytest.raises(AssertionError, match="zero-bound"):
         sweep_argmin(np.array([p1, 0.0]), 1.0, Q_DEFAULT, prefer_small=True)
