@@ -5,7 +5,9 @@ each replication derives an independent stream from (master_seed, rep),
 draws noise, runs the selector, and records integer confusion counts. Reps
 run in contiguous batches, the one unit of work of serial and pooled runs
 alike. A batch's noise is drawn as one block, row by row from each rep's
-own stream. The block is squared in place and selected in slices of rows
+own stream, into the noise buffer of the thread that runs it: each thread
+maps one per run, so a run's memory does not depend on the history of the
+malloc heap. The block is squared in place and selected in slices of rows
 by the sweep's block form, which hands any row its float filter leaves open
 to the row kernel that ``select`` runs. Each slice's thresholds, subset
 check and confusion counts are taken over its rows at once. A large run maps
@@ -18,7 +20,9 @@ pooled execution and every batch size produce byte-identical outputs.
 from __future__ import annotations
 
 import json
+import mmap
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -178,8 +182,8 @@ class RepRecord:
 
 
 # A batch's noise block holds at most this many coordinates (2 MiB of
-# float64), so a run's memory does not grow with its rep count; a pooled run
-# holds up to one block per worker at once.
+# float64), so a run's memory does not grow with its rep count; each thread
+# of a run maps one buffer of a batch's size.
 _BATCH_COORDS = 2**18
 # A batch is selected in slices of this many rows, which bounds the
 # selection's work arrays whatever the batch size; larger slices select no
@@ -192,6 +196,35 @@ _SELECT_ROWS = 64
 _POOL_MIN_COORDS = 2**20
 
 
+def _mapped_block(size: int) -> np.ndarray:
+    """A flat float array of ``size`` elements in its own anonymous memory mapping.
+
+    A noise buffer is large. As a malloc chunk it would come from the heap
+    once glibc has raised its mmap threshold past its size, and where it
+    landed would depend on what the process allocated before, so a run's
+    peak memory would differ from one process to the next by up to a
+    buffer. A mapping is returned whole to the system when the array is
+    freed. Its pages are private and, on Linux, faulted in by the one call
+    that maps them.
+    """
+    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, 8 * size, flags=flags), dtype=np.float64)
+
+
+class _NoiseBuffers(threading.local):
+    """Each thread's noise buffer for one run: ``size`` floats, mapped at the
+    thread's first batch and reused by its later ones."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.block: np.ndarray | None = None
+
+    def get(self) -> np.ndarray:
+        if self.block is None:
+            self.block = _mapped_block(self.size)
+        return self.block
+
+
 @dataclass(frozen=True)
 class _RepContext:
     theta: np.ndarray
@@ -199,11 +232,12 @@ class _RepContext:
     noise: NoiseModel
     active: np.ndarray  # 0-based columns of the evaluation active set
     master_seed: int
+    buffers: _NoiseBuffers
 
 
 def _batch_records(ctx: _RepContext, reps: range) -> list[RepRecord]:
-    """Records of one batch of reps, in order: its noise block, selected in
-    slices of _SELECT_ROWS rows.
+    """Records of one batch of reps, in order: its noise block, drawn into
+    the thread's buffer and selected in slices of _SELECT_ROWS rows.
 
     Rep r draws from its own stream, seeded stream_seed(master_seed, r), so
     its record does not depend on the batch it falls in.
@@ -212,7 +246,7 @@ def _batch_records(ctx: _RepContext, reps: range) -> list[RepRecord]:
     cfg = ctx.selector
     weight = cfg.K * cfg.sigma**2
     rngs = [np.random.default_rng(stream_seed(ctx.master_seed, rep)) for rep in reps]
-    x = sample_noise(ctx.noise, n, rngs)
+    x = sample_noise(ctx.noise, n, rngs, ctx.buffers.get())
     x *= cfg.sigma
     x += ctx.theta  # x = theta + sigma * xi, rounded as for one rep
     finite_vector(x.ravel(order="K"), "x")  # a view of the block, not a copy
@@ -321,8 +355,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     theta = cfg.resolve_theta()
     mask = active_set(theta, cfg.oracle_level, cfg.sigma, cfg.q).active
     active = np.array(mask.indices, dtype=np.intp) - 1
-    ctx = _RepContext(theta, SelectorConfig(cfg.K, cfg.sigma, cfg.q), cfg.noise, active,
-                      cfg.master_seed)
 
     reps = cfg.replications
     size = max(1, _BATCH_COORDS // cfg.n)
@@ -330,11 +362,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if pooled:  # at least four batches per worker, so that uneven batch times even out
         size = max(1, min(size, reps // (4 * n_workers)))
     batches = [range(first, min(first + size, reps + 1)) for first in range(1, reps + 1, size)]
+    ctx = _RepContext(theta, SelectorConfig(cfg.K, cfg.sigma, cfg.q), cfg.noise, active,
+                      cfg.master_seed, _NoiseBuffers(min(size, reps) * cfg.n))
     if pooled and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=min(n_workers, len(batches))) as pool:
             parts = list(pool.map(_batch_records, [ctx] * len(batches), batches))
     else:
-        # one call per batch, so that a batch's block is freed before the next is drawn
         parts = [_batch_records(ctx, batch) for batch in batches]
     records = [rec for part in parts for rec in part]
 

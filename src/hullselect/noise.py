@@ -19,22 +19,33 @@ import numpy as np
 from .core import ConfigError, DomainError, typed
 
 
+def _front(buf: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
+    """A C-ordered array of ``shape``: new, or a view of the front of the flat ``buf``."""
+    if buf is None:
+        return np.empty(shape)
+    return buf[: shape[0] * shape[1]].reshape(shape)
+
+
 class NoiseModel(ABC):
     """A distribution for the standardized noise vector."""
 
     @abstractmethod
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray: ...
 
-    def sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """One noise vector per generator, as the rows of a new (len(rngs), n) array.
+    def sample_rows(
+        self, n: int, rngs: Sequence[np.random.Generator], buf: np.ndarray | None = None
+    ) -> np.ndarray:
+        """One noise vector per generator, as the rows of a (len(rngs), n) array.
 
         Row j is bit-identical to ``self.sample(n, rngs[j])`` and leaves
         ``rngs[j]`` in the same state, so a block of draws from independent
-        generators equals the draws one at a time. The caller owns the
-        returned array and may overwrite it. This default stacks ``sample``;
-        a model overrides it only where a block is faster.
+        generators equals the draws one at a time. The array is new, or,
+        given a flat float array ``buf`` of at least len(rngs) * n elements,
+        a view of its front. The caller owns it and may overwrite it. This
+        default stacks ``sample``; a model overrides it only where a block is
+        faster.
         """
-        out = np.empty((len(rngs), n))
+        out = _front(buf, (len(rngs), n))
         for row, rng in zip(out, rngs):
             row[:] = self.sample(n, rng)
         return out
@@ -75,11 +86,13 @@ class Ar1(NoiseModel):
             out.append(prev)
         return np.array(out)
 
-    def sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    def sample_rows(
+        self, n: int, rngs: Sequence[np.random.Generator], buf: np.ndarray | None = None
+    ) -> np.ndarray:
         # Rep j is column j of one (n, B) buffer, so the recurrence steps all
         # reps at once down contiguous rows. Each element is rounded as in
         # sample, fl(fl(c*z) + fl(rho*prev)), so each column equals it bitwise.
-        z = np.empty((n, len(rngs)))
+        z = _front(buf, (n, len(rngs)))
         for j, rng in enumerate(rngs):
             z[:, j] = rng.standard_normal(n)
         rho = self.rho
@@ -133,8 +146,11 @@ class MeanOf(NoiseModel):
             acc += self.inner.sample(n, rng)
         return acc / self.m
 
-    def sample_rows(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        acc = np.zeros((len(rngs), n))
+    def sample_rows(
+        self, n: int, rngs: Sequence[np.random.Generator], buf: np.ndarray | None = None
+    ) -> np.ndarray:
+        acc = _front(buf, (len(rngs), n))
+        acc.fill(0.0)
         for _ in range(self.m):
             acc += self.inner.sample_rows(n, rngs)
         acc /= self.m
@@ -145,18 +161,21 @@ class MeanOf(NoiseModel):
 
 
 def sample_noise(
-    model: NoiseModel, n: int, rng: np.random.Generator | Sequence[np.random.Generator]
+    model: NoiseModel,
+    n: int,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+    buf: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw one noise vector; deterministic given the generator state.
 
-    Given a list of generators, draw one row per generator instead, as
-    ``model.sample_rows`` does.
+    Given a list of generators, draw one row per generator instead, into
+    ``buf`` if given, as ``model.sample_rows`` does.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if isinstance(rng, np.random.Generator):
         return model.sample(n, rng)
-    return model.sample_rows(n, rng)
+    return model.sample_rows(n, rng, buf)
 
 
 def noise_model_from_spec(spec: dict, field: str = "noise") -> NoiseModel:

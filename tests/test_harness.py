@@ -280,9 +280,9 @@ class TestRunExperiment:
 
         blocks = []
 
-        def recording_sample_noise(model, n, rngs):
+        def recording_sample_noise(model, n, rngs, buf):
             blocks.append(len(rngs))
-            return sample_noise(model, n, rngs)
+            return sample_noise(model, n, rngs, buf)
 
         monkeypatch.setattr(harness, "sample_noise", recording_sample_noise)
         # caps of 3 reps, 1 rep and all 10 reps per batch
@@ -434,6 +434,56 @@ class TestRunExperiment:
             tasks.clear()
             run_experiment(cfg)
             assert tasks == [split]
+
+    def test_run_draws_every_batch_into_a_mapped_buffer_per_thread(self, monkeypatch):
+        # a serial run maps one buffer of a batch's size, a pool one in each
+        # thread that runs a batch; every batch draws its block into one
+        mapped, used = [], []
+        real_block, real_sample = harness._mapped_block, harness.sample_noise
+
+        def recording_block(size):
+            mapped.append(real_block(size))
+            return mapped[-1]
+
+        def recording_sample(model, n, rngs, buf):
+            x = real_sample(model, n, rngs, buf)
+            used.append(any(b is buf for b in mapped) and np.shares_memory(x, buf))
+            return x
+
+        monkeypatch.setattr(harness, "_mapped_block", recording_block)
+        monkeypatch.setattr(harness, "sample_noise", recording_sample)
+        monkeypatch.setattr(harness, "_BATCH_COORDS", 3 * 40)
+        cfg = experiment_config_from_dict(base_config(replications=10))
+        monkeypatch.setenv("HULLSELECT_THREADS", "1")
+        serial = run_experiment(cfg).records
+        assert [len(b) for b in mapped] == [3 * 40] and used == [True] * 4
+
+        # 10 // (4 * 2) = 1 rep per pooled batch
+        mapped.clear()
+        used.clear()
+        monkeypatch.setenv("HULLSELECT_THREADS", "2")
+        monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 0)
+        assert run_experiment(cfg).records == serial
+        assert len(mapped) in (1, 2) and {len(b) for b in mapped} == {40}
+        assert used == [True] * 10
+
+        # more workers than cores, switching threads often: two batches that
+        # shared a buffer would overwrite each other's block
+        many = experiment_config_from_dict(base_config(signal={"s": 4, "A": 2.0}, K=1.0,
+                                                       replications=200))
+        monkeypatch.setenv("HULLSELECT_THREADS", "1")
+        serial = run_experiment(many).records
+        assert len({r.hamming for r in serial}) > 1
+        monkeypatch.setenv("HULLSELECT_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                mapped.clear()
+                assert run_experiment(many).records == serial
+                assert 1 <= len(mapped) <= 8
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_seed_changes_output(self):
         # borderline regime so per-replication records actually vary

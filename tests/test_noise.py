@@ -41,6 +41,17 @@ class TestSamplers:
                         one = model.sample(n, np.random.default_rng(123 + j))
                         assert row.tobytes() == one.tobytes(), (model, n, rows, j)
 
+    def test_rows_drawn_into_a_buffer_fill_its_front(self):
+        # the same rows as a new block, as a view of the buffer's front; the
+        # rest of the buffer is left as it was
+        for model in (IidGaussian(), Ar1(0.5), MeanOf(Ar1(0.5), 3)):
+            buf = np.full(3 * 50 + 7, np.nan)
+            got = sample_noise(model, 50, [np.random.default_rng(5 + j) for j in range(3)], buf)
+            want = sample_noise(model, 50, [np.random.default_rng(5 + j) for j in range(3)])
+            assert got.shape == (3, 50) and np.shares_memory(got, buf)
+            assert got.tobytes() == want.tobytes(), model
+            assert np.isnan(buf[150:]).all()
+
     def test_ar1_zero_rho_equals_iid_stream(self):
         a = sample_noise(Ar1(0.0), 500, np.random.default_rng(9))
         b = sample_noise(IidGaussian(), 500, np.random.default_rng(9))
