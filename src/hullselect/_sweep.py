@@ -29,9 +29,10 @@ So no optimal set holds a score below w * min_j (p[j] - p[j-1]), and only
 the scores at or above that floor need sorting.
 
 Block form. ``sweep_argmin_block`` runs the same float filter on every row
-of a (rows, n) block at once: one floor test, one stable sort of the kept
-scores padded to a common width, one cumsum whose zero pads leave each
-row's suffix sums bitwise those of ``sweep_argmin``, and the same brackets.
+of a (rows, n) block at once and returns each row's k: one floor test, one
+ascending sort of each row's zero pads and kept scores, one cumsum read
+backwards (the leading pads add exact zeros, so each row's suffix sums are
+bitwise those of ``sweep_argmin``), and the same brackets.
 A row whose guard passes and whose brackets leave one candidate is decided
 there; every other row is open and goes to ``sweep_argmin``, so the exact
 refinement, the tie rules and the scaled sum exist only in the row kernel.
@@ -149,9 +150,9 @@ def sweep_argmin(
         A*sigma^2).
     q : penalty base constant.
     prefer_small : across-k rule on exact criterion ties. True picks the
-        candidate with the smallest sum of 1-based indices; False picks the
-        largest sum of (n - i), breaking residual ties toward the larger
-        cardinality.
+        smallest tied cardinality (the smallest sum of 1-based indices);
+        False the largest (the largest sum of (n - i), equal sums going to
+        the larger set).
 
     Returns
     -------
@@ -199,38 +200,29 @@ def sweep_argmin(
         values = [sums[k - lo] * wd + wn * p for k, p in zip(ties.tolist(), ints[a - lo :])]
         best = min(values)
         ties = ties[[x == best for x in values]]
-    if len(ties) == 1 or prefer_small:
-        # Candidates are nested, so sum(i) grows strictly with k: the
-        # smallest tied cardinality has the smallest index sum.
-        best_k = int(ties[0])
-    else:
-        # Largest sum(n - i) = k*n - sum of chosen 1-based indices; equal
-        # sums are possible only when the extra coordinate is index n, in
-        # which case the larger set wins for determinism.
-        csum = np.concatenate(([0], np.cumsum(order[: ties[-1]] + 1)))
-        tie_scores = ties * n - csum[ties]
-        best_k = int(ties[np.flatnonzero(tie_scores == tie_scores.max())[-1]])
+    # The candidates are nested prefixes, so sum(i) grows strictly with k and
+    # sum(n - i) never falls: the tie rules pick the smallest or the largest k.
+    best_k = int(ties[0] if prefer_small else ties[-1])
 
     outside = v.copy()
     outside[order[:best_k]] = 0.0
     return best_k, order, float(outside.sum()) + weight * float(pen[best_k])
 
 
-def sweep_argmin_block(v: np.ndarray, weight: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+def sweep_argmin_block(v: np.ndarray, weight: float, q: float) -> np.ndarray:
     """The preselector's sweep_argmin (prefer_small=False) on every row of a
     (rows, n) block of scores, in one pass.
 
-    Returns ``(k, top)``: ``k[i]`` is the cardinality sweep_argmin chooses
-    for row i, and ``top[i]`` holds row i's scores at or above the floor in
-    descending order, then zeros, so that ``top[i, :k[i]]`` are the chosen
-    scores. ``top`` has one column more than the most scores any row keeps.
+    Returns ``k``, where ``k[i]`` is the cardinality sweep_argmin chooses
+    for row i: row i's preselector is its k[i] largest scores.
 
-    The rows share the floor, one sort over the zero-padded kept scores and
-    one cumsum, whose zero pads leave each row's suffix sums bitwise those
-    of sweep_argmin. A row is decided here when its overflow guard passes
-    and exactly one cardinality's bracket reaches the minimum; any other
-    row is open and goes to sweep_argmin whole, which holds the exact
-    refinement, the tie rules and the scaled sum.
+    The rows share the floor, one stable ascending sort of each row's zero
+    pads and kept scores, and one cumsum read backwards; the pads add exact
+    zeros, so each row's suffix sums are bitwise those of sweep_argmin. A
+    row is decided here when its overflow guard passes and exactly one
+    cardinality's bracket reaches the minimum; any other row is open and
+    goes to sweep_argmin whole, which holds the exact refinement, the tie
+    rules and the scaled sum.
     """
     rows, n = v.shape
     pen, penalty, floor = _weight_terms(n, weight, q)
@@ -238,19 +230,14 @@ def sweep_argmin_block(v: np.ndarray, weight: float, q: float) -> tuple[np.ndarr
     m = np.count_nonzero(keep, axis=1)
     width = max(m.tolist()) + 1
     cols = np.arange(width)
-    # Each row's kept scores, then zero pads, in sweep_argmin's order: a
-    # stable sort on the negated scores, with the pads keyed +inf so that
-    # they come last. The kept scores sit in ascending index order.
-    filled = cols < m[:, None]
-    kept = v[keep]
+    # Each row's zero pads, then its kept scores in ascending order: the
+    # cumsum read backwards is the suffix sum of the descending scores.
     top = np.zeros((rows, width))
-    top[filled] = kept
-    keys = np.full((rows, width), np.inf)
-    keys[filled] = np.negative(kept, out=kept)
-    top = np.take_along_axis(top, keys.argsort(axis=1, kind="stable"), axis=1)
+    top[cols < m[:, None]] = v[keep]
+    top = np.take_along_axis(top, top.argsort(axis=1, kind="stable"), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # rows whose guard trips
-        fits = _fits(m * top[:, 0] + (n - m) * floor, penalty)
-        suffix = top[:, ::-1].cumsum(axis=1)[:, ::-1]
+        fits = _fits(m * top[:, -1] + (n - m) * floor, penalty)
+        suffix = top.cumsum(axis=1)[:, ::-1]
         err = _bracket(suffix, m[:, None], weight, penalty)
         approx = np.add(suffix, weight * pen[:width], out=suffix)
         approx[cols > m[:, None]] = np.inf  # cardinalities past a row's kept scores
@@ -258,4 +245,4 @@ def sweep_argmin_block(v: np.ndarray, weight: float, q: float) -> tuple[np.ndarr
     k = cands.argmax(axis=1)
     for i in np.flatnonzero(~fits | (np.count_nonzero(cands, axis=1) != 1)):
         k[i] = sweep_argmin(v[i], weight, q, prefer_small=False)[0]
-    return k, top
+    return k

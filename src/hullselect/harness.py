@@ -255,15 +255,13 @@ def _batch_records(ctx: _RepContext, reps: range) -> list[RepRecord]:
     records = []
     for lo in range(0, len(reps), _SELECT_ROWS):
         x2 = x[lo:lo + _SELECT_ROWS]
-        k, top = sweep_argmin_block(x2, weight, cfg.q)
+        k = sweep_argmin_block(x2, weight, cfg.q)
         ks = k.tolist()
         threshold = np.array([_size_threshold(weight, cfg.q, n, pre) for pre in ks])[:, None]
         selected = np.count_nonzero(np.greater_equal(x2, threshold, out=clears[:len(ks)]), axis=1)
-        # the selected set lies in the preselector exactly when the chosen
-        # scores hold as many that clear the threshold
-        chosen = np.arange(top.shape[1]) < k[:, None]
-        chosen &= top >= threshold
-        if not np.array_equal(np.count_nonzero(chosen, axis=1), selected):
+        # both sets are prefixes of one descending score order, so the
+        # selected set lies in the preselector exactly when it is no larger
+        if (selected > k).any():
             raise RuntimeError("selector produced a coordinate outside the preselector")
         true_pos = np.count_nonzero(x2[:, ctx.active] >= threshold, axis=1)
         for rep, pre, size, tp in zip(reps[lo:], ks, selected.tolist(), true_pos.tolist()):

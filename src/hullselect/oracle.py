@@ -99,7 +99,10 @@ def _least_level(num: int, den: int, s2: float) -> float:
     # mantissa is even), so the least a is the float nearest mid / s2 or the one above it
     (t, p, s), _ = _as_ints(np.array([top, math.nextafter(top, 0.0), s2]))
     a = min(t + p, 2 * s * big) / (2 * s)  # a bound past the range steps to inf
-    return a if a * s2 >= top else math.nextafter(a, math.inf)
+    if a * s2 < top:
+        a = math.nextafter(a, math.inf)
+    # fl(a * s2) grows with a, so where this a overflows no finite product reaches top
+    return a if math.isfinite(a * s2) else math.inf
 
 
 def active_set_path(theta, sigma: float, q: float = Q_DEFAULT) -> list[SelectionPathEntry]:

@@ -65,16 +65,15 @@ def select(obs: ObservationVector, cfg: SelectorConfig) -> SelectionResult:
     The threshold is K*sigma^2*log(q*n/size) for a nonempty preselector and
     +infinity otherwise, so an empty preselector selects nothing. The
     selected set is checked to be a subset of the preselector, which the
-    criterion guarantees for the default threshold.
+    criterion guarantees for the default threshold. Both sets are prefixes
+    of one descending score order, so the check compares their sizes.
     """
     x2 = obs.x**2
     weight = cfg.K * cfg.sigma**2
     k, order, value = sweep_argmin(x2, weight, cfg.q, prefer_small=False)
     threshold = _size_threshold(weight, cfg.q, obs.n, k)
-    clears = x2 >= threshold
-    selected = clears.nonzero()[0]
-    clears[order[:k]] = False  # what still clears lies outside the preselector
-    if np.count_nonzero(clears):
+    selected = (x2 >= threshold).nonzero()[0]
+    if len(selected) > k:
         raise RuntimeError("selector produced a coordinate outside the preselector")
     pre = SelectionMask.from_indices(order[:k] + 1, obs.n)
     return SelectionResult(pre, SelectionMask.from_indices(selected + 1, obs.n), threshold, value)

@@ -49,6 +49,10 @@ CRITERION_9 = [
 
 TIED = [3.0, -3.0, 3.0, 1.0, -1.0, 1.0, 0.0, 0.0, 2.0, -2.0]
 ZERO = [0.0] * 8
+# fl(x^2) = w * (p[1] - p[0]) exactly at w = 0.25, a power of two: C(0) and C(1)
+# tie exactly, so the preselector takes the larger set {1} and the active set
+# the smaller, {}.
+CROSS_TIE = [0.8205405505762566, 0.0]
 
 
 def recording_pool(sizes: list[int]) -> type:
@@ -127,6 +131,10 @@ def compute_digests() -> dict[str, str]:
             digests[f"oracle-{label}"] = _cli_digest(
                 tmp, ["oracle", "--sigma", "1", "--A", "4"], values)
             digests[f"path-{label}"] = _cli_digest(tmp, ["path", "--sigma", "1"], values)
+        digests["select-cross-tie"] = _cli_digest(
+            tmp, ["select", "--sigma", "1", "--K", "0.25"], CROSS_TIE)
+        digests["oracle-cross-tie"] = _cli_digest(
+            tmp, ["oracle", "--sigma", "1", "--A", "0.25"], CROSS_TIE)
     return digests
 
 

@@ -313,14 +313,12 @@ class TestRunExperiment:
     def test_selected_outside_preselector_is_runtime_error(self, monkeypatch, pool_sizes, mode):
         real = harness.sweep_argmin_block
 
-        def dropping_top(v, weight, q):
-            # the lowest score takes the top score's place in each row's chosen
-            # scores, while the threshold from the same k still selects the top score
-            k, top = real(v, weight, q)
-            top[:, 0] = v.min(axis=1)
-            return k, top
+        def one_chosen(v, weight, q):
+            # a preselector of size 1, while the threshold at k = 1 still
+            # selects every strong coordinate
+            return np.ones_like(real(v, weight, q))
 
-        monkeypatch.setattr(harness, "sweep_argmin_block", dropping_top)
+        monkeypatch.setattr(harness, "sweep_argmin_block", one_chosen)
         cfg = experiment_config_from_dict(base_config(replications=5))
         exc = self.raised_by_run(cfg, mode, monkeypatch, pool_sizes)
         assert type(exc) is RuntimeError

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hullselect import (
     strong_signal_vector,
     variable_selection_path,
 )
+from hullselect.oracle import _least_level
 
 from conftest import brute_force_argmin
 
@@ -280,6 +282,25 @@ class TestActiveSetPath:
         assert [e.active.indices for e in entries] == sets
         assert entries[0].a_low == 0.0 and math.isinf(entries[-1].a_high)
         assert_exact_at_breakpoints(theta, sigma, entries)
+
+    @pytest.mark.parametrize("target", [sys.float_info.max, 2.0**1023, 1e300, 1.0])
+    def test_least_level_weight_is_finite_or_the_level_is_inf(self, target):
+        # near the float limit the least level's weight a * s2 may overflow,
+        # and then no finite weight reaches the target
+        num, den = target.as_integer_ratio()
+        rng = np.random.default_rng(20)
+        for s2 in (2.0 ** rng.uniform(-21, 20, 2000)).tolist():
+            a = _least_level(num, den, s2)
+            if a < math.inf:
+                assert math.isfinite(a * s2) and a * s2 >= target, (target, s2, a)
+                assert math.nextafter(a, 0.0) * s2 < target, (target, s2, a)
+            else:  # the largest level with a finite weight falls short
+                a = sys.float_info.max / s2
+                while math.isfinite(math.nextafter(a, math.inf) * s2):
+                    a = math.nextafter(a, math.inf)
+                while not math.isfinite(a * s2):
+                    a = math.nextafter(a, 0.0)
+                assert a * s2 < target, (target, s2)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_square_is_domain_error(self):

@@ -13,6 +13,7 @@ from hullselect import (
     select,
     sparsity_penalty,
 )
+from hullselect import selector
 
 from conftest import brute_force_argmin, brute_force_mallows
 
@@ -156,6 +157,19 @@ class TestSelect:
             x = rng.normal(0, rng.uniform(0.5, 4.0), n)
             res = select(obs(x), SelectorConfig(K=float(rng.uniform(0.2, 8.0)), sigma=1.0))
             assert res.selected.as_set() <= res.preselector.as_set()
+
+    def test_selected_outside_preselector_is_runtime_error(self, monkeypatch):
+        real = selector.sweep_argmin
+
+        def one_chosen(v, weight, q, prefer_small):
+            # a preselector of size 1, while the threshold at k = 1 still
+            # selects both strong coordinates
+            return (1, *real(v, weight, q, prefer_small)[1:])
+
+        monkeypatch.setattr(selector, "sweep_argmin", one_chosen)
+        with pytest.raises(RuntimeError) as info:
+            select(obs([9.0, 8.0, 0.0, 0.0, 0.0]), SelectorConfig(K=1.0, sigma=1.0))
+        assert str(info.value) == "selector produced a coordinate outside the preselector"
 
 
 class TestMallowsCp:
