@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter
 from typing import Sequence
@@ -69,11 +69,18 @@ def variable_selection_path(theta) -> list[SelectionMask]:
 
 @dataclass(frozen=True)
 class SelectionPathEntry:
-    """Active set on the half-open penalty-level interval [a_low, a_high)."""
+    """Active set on the level interval [a_low, a_high): the first k of ``order``, the 1-based
+    coordinates by descending theta^2 in one tuple the whole path shares. ``active`` builds
+    the mask on each read."""
 
     a_low: float
     a_high: float  # math.inf on the last entry
-    active: SelectionMask
+    k: int
+    order: tuple[int, ...] = field(repr=False)
+
+    @property
+    def active(self) -> SelectionMask:
+        return SelectionMask(tuple(sorted(self.order[: self.k])), len(self.order))
 
     def to_dict(self) -> dict:
         return {
@@ -117,6 +124,7 @@ def active_set_path(theta, sigma: float, q: float = Q_DEFAULT) -> list[Selection
     :func:`path_lookup` equals :func:`active_set` at every float level where
     :func:`active_set` returns. It raises DomainError where its float sum of
     the scores and the penalty term overflows; the path still answers there.
+    The entries share one order: time and memory are O(n) past sort and hull.
     """
     theta = finite_vector(theta, "theta")
     check_sigma_q(sigma, q)
@@ -139,17 +147,17 @@ def active_set_path(theta, sigma: float, q: float = Q_DEFAULT) -> list[Selection
             hull.pop()
         hull.append(k)
 
+    shared = tuple((order + 1).tolist())
     a_cur, k_cur = 0.0, hull.pop()
     entries: list[SelectionPathEntry] = []
     for k in reversed(hull):  # a crossing no finite level reaches ends the path
         a = _least_level((suffix[k] - suffix[k_cur]) * den_p, (pen[k_cur] - pen[k]) * den_s, sigma**2)
         if a > a_cur:
-            active = SelectionMask.from_indices(order[:k_cur] + 1, n)
-            entries.append(SelectionPathEntry(a_cur, a, active))
+            entries.append(SelectionPathEntry(a_cur, a, k_cur, shared))
             a_cur = a
         k_cur = k
-    if a_cur < math.inf:
-        entries.append(SelectionPathEntry(a_cur, math.inf, SelectionMask.empty(n)))
+    if a_cur < math.inf:  # the hull starts at k = 0, so k_cur is 0 here
+        entries.append(SelectionPathEntry(a_cur, math.inf, k_cur, shared))
     return entries
 
 
@@ -159,9 +167,10 @@ def path_lookup(entries: Sequence[SelectionPathEntry], level: float) -> Selectio
     Equals :func:`active_set` wherever that returns; it raises DomainError
     where its float sum of the scores and the penalty term overflows.
     """
-    if not (0 <= level < math.inf):
-        raise DomainError(f"level must be finite and >= 0, got {level}")
-    return entries[bisect_right(entries, level, key=attrgetter("a_low")) - 1].active
+    i = bisect_right(entries, level, key=attrgetter("a_low"))
+    if not (0 <= level < math.inf and i):
+        raise DomainError(f"level must be finite, >= 0 and reach the first entry, got {level}")
+    return entries[i - 1].active
 
 
 def has_distinct_active_set(
@@ -169,13 +178,12 @@ def has_distinct_active_set(
 ) -> bool:
     """True when the active set is identical at both control levels.
 
-    Signals passing this check have a well-separated active/inactive split
-    over the whole band [level_low, level_high].
+    Signals passing this check have a well-separated active/inactive split over the whole
+    band [level_low, level_high]. Both sets are prefixes of one order, so sizes decide it.
     """
     if level_low > level_high:
         raise DomainError(f"level_low {level_low} exceeds level_high {level_high}")
-    lo = active_set(theta, level_low, sigma, q).active
-    hi = active_set(theta, level_high, sigma, q).active
+    lo, hi = (len(active_set(theta, a, sigma, q).active) for a in (level_low, level_high))
     return lo == hi
 
 

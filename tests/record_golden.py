@@ -53,6 +53,8 @@ ZERO = [0.0] * 8
 # tie exactly, so the preselector takes the larger set {1} and the active set
 # the smaller, {}.
 CROSS_TIE = [0.8205405505762566, 0.0]
+# The bench's first path-gaussian theta at its default seed.
+GAUSSIAN_1E3 = np.random.default_rng(20250810).standard_normal(1000).tolist()
 
 
 def recording_pool(sizes: list[int]) -> type:
@@ -135,6 +137,7 @@ def compute_digests() -> dict[str, str]:
             tmp, ["select", "--sigma", "1", "--K", "0.25"], CROSS_TIE)
         digests["oracle-cross-tie"] = _cli_digest(
             tmp, ["oracle", "--sigma", "1", "--A", "0.25"], CROSS_TIE)
+        digests["path-gaussian-1e3"] = _cli_digest(tmp, ["path", "--sigma", "1"], GAUSSIAN_1E3)
     return digests
 
 

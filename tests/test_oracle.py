@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hullselect import (
     strong_signal_vector,
     variable_selection_path,
 )
+from hullselect._sweep import order_by_score
 from hullselect.oracle import _least_level
 
 from conftest import brute_force_argmin
@@ -328,6 +330,32 @@ class TestActiveSetPath:
         for level in (-0.5, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 path_lookup(entries, level)
+        # no entry starts at or below the level: nothing to wrap around to
+        for entries, level in (([], 1.0), (active_set_path([3.0, 1.0, 0.0], 1.0)[1:], 0.1)):
+            with pytest.raises(DomainError):
+                path_lookup(entries, level)
+
+    def test_entries_share_one_order(self):
+        rng = np.random.default_rng(21)
+        thetas = [rng.normal(0, 1, 200), rng.integers(-3, 4, 30).astype(float), np.zeros(4)]
+        for theta in thetas:
+            entries = active_set_path(theta, 1.0)
+            order = entries[0].order
+            assert order == tuple((order_by_score(theta**2) + 1).tolist())
+            assert all(e.order is order for e in entries)
+            assert all(e.k == len(e.active) for e in entries)
+            assert entries[-1].k == 0
+
+    def test_path_memory_is_linear(self):
+        # a mask held per entry would take about n^2/4 ints: 134 MiB here
+        theta = np.random.default_rng(22).standard_normal(3000)
+        tracemalloc.start()
+        try:
+            active_set_path(theta, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestDistinctActiveSet:
@@ -349,6 +377,21 @@ class TestDistinctActiveSet:
     def test_order_check(self):
         with pytest.raises(DomainError):
             has_distinct_active_set([1.0], 1.0, 2.0, 1.0)
+
+    def test_sizes_decide_on_ties(self):
+        # tied magnitudes and levels at the path's breakpoints, where the
+        # exact tie rules decide each set; equal levels and level 0 included
+        rng = np.random.default_rng(23)
+        for _ in range(150):
+            theta = rng.integers(-3, 4, int(rng.integers(1, 9))).astype(float)
+            sigma = float(rng.choice([0.5, 1.0, 2.0]))
+            levels = [0.0, *(e.a_low for e in active_set_path(theta, sigma))]
+            levels += rng.uniform(0, 2 * levels[-1] + 1, 3).tolist()
+            for lo in levels:
+                for hi in levels:
+                    if lo <= hi:
+                        expect = active_set(theta, lo, sigma).active == active_set(theta, hi, sigma).active
+                        assert has_distinct_active_set(theta, sigma, lo, hi) == expect, (theta, lo, hi)
 
 
 class TestStrongSignalVector:
