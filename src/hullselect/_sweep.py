@@ -77,9 +77,9 @@ def _penalty_bounds(n: int, q: float) -> tuple[float, float]:
     return float(np.min(np.diff(pen))), float(np.max(np.abs(pen)))
 
 
-def _as_ints(values: np.ndarray) -> tuple[list[int], int]:
+def _as_ints(values: list[float]) -> tuple[list[int], int]:
     """Exact integer numerators of finite floats over one power-of-two denominator."""
-    ratios = [x.as_integer_ratio() for x in values.tolist()]
+    ratios = [x.as_integer_ratio() for x in values]
     den = max(d for _, d in ratios)
     return [num * (den // d) for num, d in ratios], den
 
@@ -194,7 +194,7 @@ def sweep_argmin(
         # D(k) - sum(top[a:]) for the anchor a = largest candidate, in
         # integers scaled by the scores' and penalties' one denominator and wd.
         lo, a = int(ties[0]), int(ties[-1])
-        ints, _ = _as_ints(np.concatenate((top[lo:a], pen[ties])))
+        ints, _ = _as_ints(np.concatenate((top[lo:a], pen[ties])).tolist())
         sums = list(accumulate(reversed(ints[: a - lo]), initial=0))[::-1]
         wn, wd = float(weight).as_integer_ratio()
         values = [sums[k - lo] * wd + wn * p for k, p in zip(ties.tolist(), ints[a - lo :])]

@@ -2,7 +2,7 @@
 
 A run fixes one signal, computes its evaluation active set once, then for
 each replication derives an independent stream from (master_seed, rep),
-draws noise, runs the selector, and records integer confusion counts. Reps
+draws noise, runs the selector, and records one row of integer counts. Reps
 run in contiguous batches, the one unit of work of serial and pooled runs
 alike. A batch's noise is drawn as one block, row by row from each rep's
 own stream, into the noise buffer of the thread that runs it: each thread
@@ -10,11 +10,12 @@ maps one per run, so a run's memory does not depend on the history of the
 malloc heap. The block is squared in place and selected in slices of rows
 by the sweep's block form, which hands any row its float filter leaves open
 to the row kernel that ``select`` runs. Each slice's thresholds, subset
-check and confusion counts are taken over its rows at once. A large run maps
-its batches over a pool of threads: each rep's generator lives in one batch,
-so in one thread, and the context the batches share is read only. All
-aggregation happens afterwards from the ordered records, so serial and
-pooled execution and every batch size produce byte-identical outputs.
+check and counts are taken over its rows at once, into the columns of one
+count array per batch. A large run maps its batches over a pool of threads:
+each rep's generator lives in one batch, so in one thread, and the context
+the batches share is read only. The rates, the UQ and the records all come
+from the batches' arrays in rep order, so serial and pooled execution and
+every batch size produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from ._version import __version__
 from .core import Q_DEFAULT, ConfigError, built, finite_vector, typed
-from .metrics import DEFAULT_KFWER_KS, ConfusionCounts, RateReport, aggregate
+from .metrics import DEFAULT_KFWER_KS, RateReport, _rates
 from .noise import NoiseModel, noise_model_from_spec, sample_noise
 from .oracle import active_set, has_distinct_active_set, strong_signal_vector
 from ._sweep import sweep_argmin_block
@@ -43,6 +44,7 @@ PER_REP_CSV_HEADER = "rep,false_pos,false_neg,selected_size,preselector_size,act
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_LEVEL = (lambda a: 0 <= a < np.inf, "finite and >= 0")  # a penalty level's range test
 
 
 def _mix64(z: int) -> int:
@@ -126,7 +128,7 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     theta_check = d.get("theta_check")
     if theta_check is not None:
         pair = typed(theta_check, list, "theta_check", lambda p: len(p) == 2, "a pair [A0, A1]")
-        theta_check = tuple(typed(a, float, "theta_check") for a in pair)
+        theta_check = tuple(typed(a, float, "theta_check", *_LEVEL) for a in pair)
         if not 0 <= theta_check[0] <= theta_check[1]:
             raise ConfigError("theta_check", f"need 0 <= A0 <= A1, got {pair}")
     uq = typed(d.get("uq", {}), dict, "uq")
@@ -141,7 +143,7 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
         noise=built("noise", noise_model_from_spec, d.get("noise", {"variant": "iid-gaussian"})),
         replications=typed(d.get("replications"), int, "replications", lambda v: v >= 1, ">= 1"),
         master_seed=typed(d.get("master_seed"), int, "master_seed"),
-        oracle_level=typed(d.get("oracle_A"), float, "oracle_A", lambda v: v >= 0, ">= 0"),
+        oracle_level=typed(d.get("oracle_A"), float, "oracle_A", *_LEVEL),
         theta_check=theta_check,
         uq=built(
             "uq", UqConfig,
@@ -235,12 +237,13 @@ class _RepContext:
     buffers: _NoiseBuffers
 
 
-def _batch_records(ctx: _RepContext, reps: range) -> list[RepRecord]:
-    """Records of one batch of reps, in order: its noise block, drawn into
-    the thread's buffer and selected in slices of _SELECT_ROWS rows.
+def _batch_records(ctx: _RepContext, reps: range) -> np.ndarray:
+    """The (len(reps), 7) int64 count rows of one batch, in PER_REP_CSV_HEADER's
+    column order: its noise block, drawn into the thread's buffer and selected
+    in slices of _SELECT_ROWS rows.
 
     Rep r draws from its own stream, seeded stream_seed(master_seed, r), so
-    its record does not depend on the batch it falls in.
+    its row does not depend on the batch it falls in.
     """
     n = len(ctx.theta)
     cfg = ctx.selector
@@ -252,23 +255,25 @@ def _batch_records(ctx: _RepContext, reps: range) -> list[RepRecord]:
     finite_vector(x.ravel(order="K"), "x")  # a view of the block, not a copy
     np.square(x, out=x)
     clears = np.empty((min(len(reps), _SELECT_ROWS), n), dtype=bool)
-    records = []
+    counts = np.empty((len(reps), 7), dtype=np.int64)
+    counts[:, 0] = reps
+    counts[:, 5] = len(ctx.active)
     for lo in range(0, len(reps), _SELECT_ROWS):
-        x2 = x[lo:lo + _SELECT_ROWS]
+        x2, rows = x[lo:lo + _SELECT_ROWS], counts[lo:lo + _SELECT_ROWS]
         k = sweep_argmin_block(x2, weight, cfg.q)
-        ks = k.tolist()
-        threshold = np.array([_size_threshold(weight, cfg.q, n, pre) for pre in ks])[:, None]
-        selected = np.count_nonzero(np.greater_equal(x2, threshold, out=clears[:len(ks)]), axis=1)
+        threshold = np.array([_size_threshold(weight, cfg.q, n, pre) for pre in k.tolist()])[:, None]
+        selected = np.count_nonzero(np.greater_equal(x2, threshold, out=clears[:len(k)]), axis=1)
         # both sets are prefixes of one descending score order, so the
         # selected set lies in the preselector exactly when it is no larger
         if (selected > k).any():
             raise RuntimeError("selector produced a coordinate outside the preselector")
         true_pos = np.count_nonzero(x2[:, ctx.active] >= threshold, axis=1)
-        for rep, pre, size, tp in zip(reps[lo:], ks, selected.tolist(), true_pos.tolist()):
-            false_pos, false_neg = size - tp, len(ctx.active) - tp
-            records.append(RepRecord(rep, false_pos, false_neg, size, pre, len(ctx.active),
-                                     false_pos + false_neg))
-    return records
+        rows[:, 1] = selected - true_pos
+        rows[:, 2] = len(ctx.active) - true_pos
+        rows[:, 3] = selected
+        rows[:, 4] = k
+    counts[:, 6] = counts[:, 1] + counts[:, 2]
+    return counts
 
 
 def resolve_workers() -> int:
@@ -345,8 +350,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     times n) loops over them serially; a larger one cuts them to at least
     four per worker and maps them over a thread pool, in order.
     HULLSELECT_THREADS is the only worker setting (see resolve_workers).
-    Outputs are identical for any worker count because records are
-    aggregated in replication order from integer counts.
+    Outputs are identical for any worker count because the rates, the UQ and
+    the records are all read from one integer count array in rep order.
     """
     t0 = time.perf_counter()
     n_workers = resolve_workers()
@@ -367,16 +372,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             parts = list(pool.map(_batch_records, [ctx] * len(batches), batches))
     else:
         parts = [_batch_records(ctx, batch) for batch in batches]
-    records = [rec for part in parts for rec in part]
+    counts = np.concatenate(parts)
 
-    counts = [
-        ConfusionCounts(r.false_pos, r.false_neg, r.selected_size, r.active_size, cfg.n)
-        for r in records
-    ]
-    rates = aggregate(counts, cfg.kfwer_ks)
-    cover_fail, size_exceed = evaluate_uq_counts(
-        [(r.preselector_size, r.hamming, r.active_size) for r in records], cfg.n, cfg.uq
-    )
+    rates = _rates(counts[:, [1, 2, 3, 5]], cfg.n, cfg.kfwer_ks)
+    cover_fail, size_exceed = evaluate_uq_counts(counts[:, [4, 6, 5]].tolist(), cfg.n, cfg.uq)
     check = None
     if cfg.theta_check is not None:
         check = has_distinct_active_set(theta, cfg.sigma, *cfg.theta_check, cfg.q)
@@ -388,7 +387,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         size_exceed_rate=size_exceed,
         uq_config=cfg.uq,
         theta_check_passed=check,
-        records=tuple(records),
+        records=tuple(RepRecord(*row) for row in counts.tolist()),
         per_rep_csv=cfg.reps_path,
         wall_time_s=time.perf_counter() - t0,
     )

@@ -2,7 +2,8 @@
 
 Proportions follow the 0/0 = 0 convention throughout, so every operation is
 total. Rates are plain empirical means over replications; exceedance rates
-(at least k false positives / negatives) come from the same integer counts.
+(at least k false positives / negatives) come from the same integer counts,
+taken as columns of one count array with a row per replication.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import DimensionError, DomainError, SelectionMask
 
@@ -25,9 +28,12 @@ class ConfusionCounts:
     n: int
 
     def __post_init__(self) -> None:
+        if not 0 <= self.n <= 2**53:  # so that every count is an exact float64
+            raise DomainError(f"n must lie in [0, 2**53], got {self.n}")
+        # each proportion's numerator is at most its denominator
         ok = (
             0 <= self.false_pos <= min(self.selected_size, self.n - self.active_size)
-            and 0 <= self.false_neg <= self.active_size
+            and 0 <= self.false_neg <= min(self.active_size, self.n - self.selected_size)
             and 0 <= self.selected_size <= self.n
             and 0 <= self.active_size <= self.n
         )
@@ -62,19 +68,22 @@ class ProportionSet:
     hamming_loss: int
 
 
-def _ratio(num: int, den: int) -> float:
-    return 0.0 if num == 0 else num / den
+def _proportions(counts: np.ndarray, n: int) -> np.ndarray:
+    """The (4, R) fdp, fpp, ndp and fnp of R (false_pos, false_neg, selected_size,
+    active_size) rows: 0 where the numerator is 0, else num / den."""
+    fp, fn, sel, act = counts.T
+    num, den = np.array([fp, fp, fn, fn]), np.array([sel, n - act, act, n - sel])
+    return np.divide(num, den, out=np.zeros(num.shape), where=num != 0)
+
+
+def _stack(counts: Sequence[ConfusionCounts]) -> np.ndarray:
+    return np.array([(c.false_pos, c.false_neg, c.selected_size, c.active_size) for c in counts])
 
 
 def proportions(c: ConfusionCounts) -> ProportionSet:
     """False discovery / positive / non-discovery / false non-discovery proportions."""
-    return ProportionSet(
-        fdp=_ratio(c.false_pos, c.selected_size),
-        fpp=_ratio(c.false_pos, c.n - c.active_size),
-        ndp=_ratio(c.false_neg, c.active_size),
-        fnp=_ratio(c.false_neg, c.n - c.selected_size),
-        hamming_loss=c.hamming,
-    )
+    fdp, fpp, ndp, fnp = _proportions(_stack([c]), c.n)[:, 0].tolist()
+    return ProportionSet(fdp=fdp, fpp=fpp, ndp=ndp, fnp=fnp, hamming_loss=c.hamming)
 
 
 @dataclass(frozen=True)
@@ -139,17 +148,16 @@ def aggregate(per_rep: Iterable[ConfusionCounts], ks: Sequence[int] = DEFAULT_KF
         raise DimensionError("replications disagree on n")
     if any(k < 1 for k in ks):
         raise DomainError(f"k values must be positive, got {list(ks)}")
-    ks = sorted(set(ks) | {1})
+    return _rates(_stack(reps), n, ks)
 
-    props = [proportions(c) for c in reps]
-    r = len(reps)
-    fdr, se_fdr = _mean_and_se([p.fdp for p in props])
-    fpr, se_fpr = _mean_and_se([p.fpp for p in props])
-    ndr, se_ndr = _mean_and_se([p.ndp for p in props])
-    fnr, se_fnr = _mean_and_se([p.fnp for p in props])
-    hamming_risk, se_ham = _mean_and_se([float(p.hamming_loss) for p in props])
-    kfwer = {k: sum(1 for c in reps if c.false_pos >= k) / r for k in ks}
-    kfwnr = {k: sum(1 for c in reps if c.false_neg >= k) / r for k in ks}
+
+def _rates(counts: np.ndarray, n: int, ks: Sequence[int]) -> RateReport:
+    """The rates of (false_pos, false_neg, selected_size, active_size) rows, one
+    per replication in order, with exceedance maps at ks and at 1."""
+    r, fp, fn = len(counts), counts[:, 0], counts[:, 1]
+    columns = _proportions(counts, n).tolist() + [(fp + fn).astype(float).tolist()]
+    (fdr, fpr, ndr, fnr, hamming_risk), se = zip(*map(_mean_and_se, columns))
+    ks = sorted(set(ks) | {1})
     return RateReport(
         fdr=fdr,
         fpr=fpr,
@@ -157,14 +165,8 @@ def aggregate(per_rep: Iterable[ConfusionCounts], ks: Sequence[int] = DEFAULT_KF
         fnr=fnr,
         mtr=(fdr + ndr, fdr + fnr, fpr + ndr, fpr + fnr),
         hamming_risk=hamming_risk,
-        kfwer=kfwer,
-        kfwnr=kfwnr,
+        kfwer={k: np.count_nonzero(fp >= k) / r for k in ks},
+        kfwnr={k: np.count_nonzero(fn >= k) / r for k in ks},
         replications=r,
-        stderr={
-            "fdr": se_fdr,
-            "fpr": se_fpr,
-            "ndr": se_ndr,
-            "fnr": se_fnr,
-            "hamming_risk": se_ham,
-        },
+        stderr=dict(zip(("fdr", "fpr", "ndr", "fnr", "hamming_risk"), se)),
     )

@@ -104,7 +104,7 @@ def _least_level(num: int, den: int, s2: float) -> float:
         top = math.nextafter(top, math.inf)
     # fl(x) >= top iff x passes mid, halfway to the float below top (on a tie, iff top's
     # mantissa is even), so the least a is the float nearest mid / s2 or the one above it
-    (t, p, s), _ = _as_ints(np.array([top, math.nextafter(top, 0.0), s2]))
+    (t, p, s), _ = _as_ints([top, math.nextafter(top, 0.0), s2])
     a = min(t + p, 2 * s * big) / (2 * s)  # a bound past the range steps to inf
     if a * s2 < top:
         a = math.nextafter(a, math.inf)
@@ -133,8 +133,8 @@ def active_set_path(theta, sigma: float, q: float = Q_DEFAULT) -> list[Selection
         raise DomainError(f"q = {q} is too small: the penalty must increase strictly up to k = {n}")
     v = theta**2
     order = order_by_score(v)
-    scores, den_s = _as_ints(v[order])
-    pen, den_p = _as_ints(penalty_vector(n, q))
+    scores, den_s = _as_ints(v[order].tolist())
+    pen, den_p = _as_ints(penalty_vector(n, q).tolist())
     suffix = list(accumulate(reversed(scores), initial=0))[::-1]
 
     def cross(a: int, b: int, c: int) -> int:  # (b - a) x (c - a) in the (p, S) plane

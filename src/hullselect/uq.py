@@ -75,20 +75,16 @@ def evaluate_uq_counts(
     Each record is (preselector_size, hamming, active_size), the hamming
     distance being that between the selected and the active mask. The data
     radius is always computed from the preselector size and the benchmark
-    radius from the active-set size; the two are never swapped.
+    radius from the active-set size; the two are never swapped. Each distinct
+    size's radius is computed once.
     """
     records = list(records)
     if not records:
         raise DomainError("cannot evaluate UQ on an empty replication list")
-    cover_fail = 0
-    size_exceed = 0
-    for presize, ham, active_size in records:
-        r_hat = confidence_radius(presize, n, cfg.alpha4_prime)
-        r_bench = confidence_radius(active_size, n, cfg.alpha4_prime)
-        if ham > r_hat:
-            cover_fail += 1
-        if r_hat >= cfg.m1_prime * r_bench:
-            size_exceed += 1
+    sizes = {size for pre, _, act in records for size in (pre, act)}
+    radius = {size: confidence_radius(size, n, cfg.alpha4_prime) for size in sizes}
+    cover_fail = sum(ham > radius[pre] for pre, ham, _ in records)
+    size_exceed = sum(radius[pre] >= cfg.m1_prime * radius[act] for pre, _, act in records)
     r = len(records)
     return cover_fail / r, size_exceed / r
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hullselect import active_set_path, sparsity_penalty
+from hullselect import active_set_path, harness, sparsity_penalty
 from hullselect.cli import main
 
 
@@ -168,6 +168,21 @@ class TestSimulate:
         assert code == 2 and "config field 'uq'" in err
         assert out == ""
 
+    @pytest.mark.parametrize("field,value", [
+        ("theta_check", [1.0, math.inf]),
+        ("theta_check", [math.inf, math.inf]),
+        ("oracle_A", math.inf),
+    ], ids=["theta_check-A1", "theta_check-both", "oracle_A"])
+    def test_non_finite_level_exit_2_before_any_batch(self, capsys, tmp_path, monkeypatch,
+                                                      field, value):
+        batches = []
+        monkeypatch.setattr(harness, "_batch_records", lambda ctx, reps: batches.append(reps))
+        cfg = self.config(tmp_path, **{field: value})
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 2 and f"config field '{field}'" in err
+        assert "finite and >= 0" in err
+        assert out == "" and batches == []
+
 
 class TestBound:
     def test_grid_csv(self, capsys):
@@ -287,6 +302,20 @@ class TestUq:
         )
         code, out, err = run_cli(capsys, "uq", "--reps-in", str(p), "--n", "0")
         assert code == 2 and "n must be >= 1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("row", ["1,0,0,3,100000000000000000000,3,0",
+                                     "1,0,0,3,3,100000000000000000000,0"],
+                             ids=["preselector_size", "active_size"])
+    def test_count_past_int64_exit_2(self, capsys, tmp_path, row):
+        # a size of 10**20 lies outside [0, n]; it is never cast to a machine integer
+        p = tmp_path / "reps.csv"
+        p.write_text(
+            "rep,false_pos,false_neg,selected_size,preselector_size,active_size,hamming\n"
+            f"{row}\n"
+        )
+        code, out, err = run_cli(capsys, "uq", "--reps-in", str(p), "--n", "100")
+        assert code == 2 and "size must lie in [0, 100], got 100000000000000000000" in err
         assert out == ""
 
 

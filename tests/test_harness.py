@@ -11,6 +11,7 @@ import pytest
 
 from hullselect import (
     ConfigError,
+    ConfusionCounts,
     DomainError,
     NoiseModel,
     ObservationVector,
@@ -25,8 +26,8 @@ from hullselect import (
     select,
     stream_seed,
 )
-from hullselect import _sweep, harness
-from hullselect.harness import read_per_rep_csv, resolve_workers
+from hullselect import _sweep, harness, uq
+from hullselect.harness import RepRecord, read_per_rep_csv, resolve_workers
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.schema.json").read_text())
 
@@ -96,6 +97,11 @@ class TestConfigParsing:
              "noise.m"),
             ({"noise": {"variant": "mean-of-m", "m": 2}}, "noise.inner"),
             ({"output": {"report": 5}}, "output.report"),
+            # penalty levels are finite and >= 0, as active_set takes them
+            ({"oracle_A": math.inf}, "oracle_A"),
+            ({"oracle_A": math.nan}, "oracle_A"),
+            ({"theta_check": [1.0, math.inf]}, "theta_check"),
+            ({"theta_check": [math.inf, math.inf]}, "theta_check"),
         ],
     )
     def test_field_errors_are_identified(self, patch, field):
@@ -335,6 +341,60 @@ class TestRunExperiment:
         exc = self.raised_by_run(cfg, mode, monkeypatch, pool_sizes)
         assert type(exc) is DomainError
         assert str(exc) == "x must be finite with a finite square"
+
+    @pytest.mark.parametrize("mode", ["serial", "pool-2"])
+    def test_run_builds_no_confusion_counts_and_one_radius_per_size(self, monkeypatch,
+                                                                     pool_sizes, mode):
+        # the run reads its rates and its UQ from one count array: it builds no
+        # per-rep ConfusionCounts, and each distinct size gets one radius
+        built, radii = [], []
+        real_init, real_radius = ConfusionCounts.__post_init__, uq.confidence_radius
+
+        def counting_init(c):
+            built.append(c)
+            real_init(c)
+
+        def counting_radius(size, n, alpha4_prime):
+            radii.append(size)
+            return real_radius(size, n, alpha4_prime)
+
+        monkeypatch.setattr(ConfusionCounts, "__post_init__", counting_init)
+        monkeypatch.setattr(uq, "confidence_radius", counting_radius)
+        monkeypatch.setenv("HULLSELECT_THREADS", "1" if mode == "serial" else "2")
+        monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 0)
+        cfg = experiment_config_from_dict(
+            base_config(signal={"s": 4, "A": 2.0}, K=1.0, replications=40)
+        )
+        records = run_experiment(cfg).records
+        assert pool_sizes == ([] if mode == "serial" else [2])
+        assert built == []
+        sizes = {r.preselector_size for r in records} | {r.active_size for r in records}
+        assert len(sizes) > 2
+        assert sorted(radii) == sorted(sizes)
+
+    @pytest.mark.parametrize("mode", ["serial", "pool-2"])
+    @pytest.mark.parametrize("over", [
+        {"signal": {"s": 4, "A": 2.0}, "K": 1.0},
+        {"noise": {"variant": "rademacher"}, "K": 0.9, "oracle_A": 2.0},
+        {"signal": {"theta": [0.0] * 40}},
+        {"K": 0.05, "oracle_A": 2.0},
+    ], ids=["borderline", "rademacher-ties", "pure-noise", "small-K"])
+    def test_every_record_satisfies_the_confusion_invariants(self, monkeypatch, pool_sizes,
+                                                             mode, over):
+        # the run checks no per-rep ConfusionCounts, so the tests do: each
+        # record's counts must build one, and its hamming and preselector agree
+        monkeypatch.setenv("HULLSELECT_THREADS", "1" if mode == "serial" else "2")
+        monkeypatch.setattr(harness, "_POOL_MIN_COORDS", 0)
+        cfg = experiment_config_from_dict(base_config(replications=60, **over))
+        records = run_experiment(cfg).records
+        assert pool_sizes == ([] if mode == "serial" else [2])
+        assert [r.rep for r in records] == list(range(1, 61))
+        for r in records:
+            assert type(r) is RepRecord
+            assert all(type(v) is int for v in dataclasses.astuple(r))
+            ConfusionCounts(r.false_pos, r.false_neg, r.selected_size, r.active_size, cfg.n)
+            assert r.hamming == r.false_pos + r.false_neg
+            assert r.selected_size <= r.preselector_size <= cfg.n
 
     def test_pool_runs_rep_ranges_at_the_work_threshold(self, monkeypatch):
         # an inline stand-in for the pool records its size and starts no

@@ -1,3 +1,6 @@
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from hullselect import (
     ConfusionCounts,
     DimensionError,
     DomainError,
+    ProportionSet,
     SelectionMask,
     aggregate,
     confusion,
@@ -47,6 +51,22 @@ class TestConfusion:
     def test_count_validation(self):
         with pytest.raises(DomainError):
             ConfusionCounts(false_pos=3, false_neg=0, selected_size=2, active_size=0, n=5)
+
+    def test_missed_coordinates_lie_outside_the_selection(self):
+        # a false negative is an unselected coordinate, so fnp's denominator
+        # n - selected_size is never 0 under a nonzero numerator
+        with pytest.raises(DomainError, match="inconsistent confusion counts"):
+            ConfusionCounts(false_pos=0, false_neg=1, selected_size=3, active_size=1, n=3)
+
+    def test_n_is_bounded_where_counts_stay_exact_floats(self):
+        # counts past 2**53 would round on their way to float64 (and past
+        # 2**63 overflow an int64), so such an n is a DomainError
+        for n in (2**53 + 1, 10**20):
+            with pytest.raises(DomainError, match=r"n must lie in \[0, 2\*\*53\]"):
+                ConfusionCounts(0, 1, 0, 1, n)
+        c = ConfusionCounts(0, 1, 0, 1, 2**53)
+        assert proportions(c) == ProportionSet(0.0, 0.0, 1.0, 1 / 2**53, 1)
+        assert aggregate([c]).fnr == 1 / 2**53
 
 
 class TestProportions:
@@ -91,6 +111,39 @@ class TestProportions:
                 [int(perm[i - 1]) for i in m.indices], n
             )
             assert proportions(confusion(a, b)) == proportions(confusion(relabel(a), relabel(b)))
+
+
+def python_rates(reps):
+    """Proportions as int / int with 0/0 = 0, and their fsum means, in plain Python."""
+    ratio = lambda num, den: 0.0 if num == 0 else num / den
+    props = [
+        (ratio(c.false_pos, c.selected_size), ratio(c.false_pos, c.n - c.active_size),
+         ratio(c.false_neg, c.active_size), ratio(c.false_neg, c.n - c.selected_size))
+        for c in reps
+    ]
+    return props, [math.fsum(col) / len(reps) for col in zip(*props)]
+
+
+def random_counts(rng, n):
+    """Consistent counts of a random selection and active set in n coordinates."""
+    tp, fp, fn = (int(v) for v in rng.multinomial(int(rng.integers(0, n + 1)), [1 / 3] * 3))
+    return ConfusionCounts(fp, fn, tp + fp, tp + fn, n)
+
+
+class TestColumns:
+    @pytest.mark.parametrize("n_max", [12, 10**6, 2**53])
+    def test_proportions_and_rates_equal_python_division(self, n_max):
+        # the column path divides int64 columns as float64: it must give the
+        # correctly rounded int / int, bit for bit, up to n = 2**53
+        rng = np.random.default_rng(n_max % 1000)
+        for _ in range(20):
+            n = int(rng.integers(1, n_max, endpoint=True))
+            reps = [random_counts(rng, n) for _ in range(int(rng.integers(1, 30)))]
+            props, means = python_rates(reps)
+            assert [astuple(proportions(c))[:4] for c in reps] == props
+            r = aggregate(reps)
+            assert [r.fdr, r.fpr, r.ndr, r.fnr] == means
+            assert r.hamming_risk == math.fsum(float(c.hamming) for c in reps) / len(reps)
 
 
 class TestAggregate:

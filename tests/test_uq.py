@@ -112,6 +112,25 @@ class TestEvaluate:
         ]
         assert all(a <= b for a, b in zip(rates, rates[1:]))
 
+    def test_count_columns_equal_tuples(self):
+        # the harness passes its count array's (preselector, hamming, active)
+        # columns as lists of Python ints; tuples of the same ints agree, and
+        # so does a loop that takes both radii of every record
+        n = 25
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, n + 1, size=(80, 7))
+        tuples = [(int(row[4]), int(row[6]), int(row[5])) for row in counts]
+        for a in (0.0, 0.5, 1.0):
+            cfg = UqConfig(alpha4_prime=a, m1_prime=2.0)
+            got = evaluate_uq_counts(counts[:, [4, 6, 5]].tolist(), n, cfg)
+            assert got == evaluate_uq_counts(tuples, n, cfg)
+            assert got == evaluate_uq_counts(iter(tuples), n, cfg)
+            radii = [(confidence_radius(p, n, a), confidence_radius(act, n, a))
+                     for p, _, act in tuples]
+            cover = sum(ham > r_hat for (_, ham, _), (r_hat, _) in zip(tuples, radii))
+            size = sum(r_hat >= 2.0 * r_bench for r_hat, r_bench in radii)
+            assert got == (cover / 80, size / 80)
+
     def test_radii_not_interchanged(self):
         # preselector size drives coverage, active size drives the benchmark:
         # swapping them must change the outcome in this asymmetric setup
