@@ -125,7 +125,7 @@ def _cmd_noise_check(args) -> int:
 
 
 def _cmd_uq(args) -> int:
-    records = read_per_rep_csv(args.reps_in)
+    records = read_per_rep_csv(args.reps_in, args.n)
     cfg = UqConfig(alpha4_prime=args.alpha4_prime, m1_prime=args.m1_prime)
     counts = [(r.preselector_size, r.hamming, r.active_size) for r in records]
     cover_fail, size_exceed = evaluate_uq_counts(counts, args.n, cfg)

@@ -4,18 +4,21 @@ A run fixes one signal, computes its evaluation active set once, then for
 each replication derives an independent stream from (master_seed, rep),
 draws noise, runs the selector, and records one row of integer counts. Reps
 run in contiguous batches, the one unit of work of serial and pooled runs
-alike. A batch's noise is drawn as one block, row by row from each rep's
-own stream, into the noise buffer of the thread that runs it: each thread
-maps one per run, so a run's memory does not depend on the history of the
-malloc heap. The block is squared in place and selected in slices of rows
-by the sweep's block form, which hands any row its float filter leaves open
-to the row kernel that ``select`` runs. Each slice's thresholds, subset
-check and counts are taken over its rows at once, into the columns of one
-count array per batch. A large run maps its batches over a pool of threads:
-each rep's generator lives in one batch, so in one thread, and the context
-the batches share is read only. The rates, the UQ and the records all come
-from the batches' arrays in rep order, so serial and pooled execution and
-every batch size produce byte-identical outputs.
+alike. Rep r's stream is exactly np.random.default_rng(stream_seed(master_seed,
+r)); a batch builds all of its streams at once, hashing the seeds as numpy's
+SeedSequence does, in columns over the batch. A batch's noise is drawn as
+one block, row by row from each rep's own stream, into the noise buffer of
+the thread that runs it: each thread maps one per run, so a run's memory
+does not depend on the history of the malloc heap. The block is squared in
+place and selected in slices of rows by the sweep's block form, which hands
+any row its float filter leaves open to the row kernel that ``select``
+runs. Each slice's thresholds, subset check and counts are taken over its
+rows at once, into the columns of one count array per batch. A large run
+maps its batches over a pool of threads: each rep's generator lives in one
+batch, so in one thread, and the context the batches share is read only.
+The rates, the UQ and the records all come from the batches' arrays in rep
+order, so serial and pooled execution and every batch size produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ._version import __version__
 from .core import Q_DEFAULT, ConfigError, built, finite_vector, typed
-from .metrics import DEFAULT_KFWER_KS, RateReport, _rates
+from .metrics import DEFAULT_KFWER_KS, ConfusionCounts, RateReport, _rates
 from .noise import NoiseModel, noise_model_from_spec, sample_noise
 from .oracle import active_set, has_distinct_active_set, strong_signal_vector
 from ._sweep import sweep_argmin_block
@@ -57,6 +61,60 @@ def _mix64(z: int) -> int:
 def stream_seed(master_seed: int, index: int) -> int:
     """Splitmix-style per-replication seed; index 0 is reserved for the signal."""
     return _mix64((master_seed + (index + 1) * _GOLDEN) & _MASK64)
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The uint32 column init * mult**i mod 2**32, i = 0..calls, taken in Python ints."""
+    consts = [init * pow(mult, i, 2**32) % 2**32 for i in range(calls + 1)]
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence hash (NEP 19) runs its multiplier through a fixed
+# sequence, the same for every seed: 16 hashmix calls mix a 4-word pool, and
+# 8 more give generate_state(4, uint64).
+_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``value`` once per successive pair of ``consts``."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence whose state is four given uint64 words, so that PCG64
+    seeds from them as from the SeedSequence that generated them."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _default_rngs(seeds: Sequence[int]) -> list[np.random.Generator]:
+    """``[np.random.default_rng(s) for s in seeds]``, bit for bit, for seeds in
+    [0, 2**64), hashed as uint32 columns over all the seeds at once.
+
+    A seed's one or two 32-bit words (a second word of 0 hashes as a seed
+    below 2**32 does) fill a 4-word pool; the pool is mixed, and 8 words
+    drawn from it, as SeedSequence does; PCG64 sets its state from them by
+    its own seeding step.
+    """
+    s = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(s)), dtype=np.uint32)
+    pool[0], pool[1] = s & 0xFFFFFFFF, s >> 32
+    pool = _hashmix(pool, _POOL_HASH[:5])
+    for src in range(4):  # every other word mixes in a hash of word src, in SeedSequence's order
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(pool[src], _POOL_HASH[4 + 3 * src:8 + 3 * src])
+        mixed = pool[dst] * 0xCA01F9DD - hashed * 0x4973F715
+        pool[dst] = mixed ^ mixed >> 16
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH).astype(np.uint64)
+    # little-endian pairs, one contiguous row per seed: PCG64 reads the row's memory
+    words = (state[0::2] | state[1::2] << 32).T.copy()
+    return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in words]
 
 
 @dataclass(frozen=True)
@@ -248,7 +306,7 @@ def _batch_records(ctx: _RepContext, reps: range) -> np.ndarray:
     n = len(ctx.theta)
     cfg = ctx.selector
     weight = cfg.K * cfg.sigma**2
-    rngs = [np.random.default_rng(stream_seed(ctx.master_seed, rep)) for rep in reps]
+    rngs = _default_rngs([stream_seed(ctx.master_seed, rep) for rep in reps])
     x = sample_noise(ctx.noise, n, rngs, ctx.buffers.get())
     x *= cfg.sigma
     x += ctx.theta  # x = theta + sigma * xi, rounded as for one rep
@@ -325,8 +383,20 @@ def per_rep_csv_text(records: Sequence[RepRecord]) -> str:
     return "\n".join([PER_REP_CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
 
 
-def read_per_rep_csv(path: str) -> list[RepRecord]:
-    """The records of a per-rep CSV, as per_rep_csv_text writes it."""
+def _check_record(r: RepRecord, n: int, field: str) -> None:
+    """ConfigError(field) unless a run of dimension n can write the row ``r``."""
+    for size in (r.selected_size, r.preselector_size, r.active_size):
+        if not 0 <= size <= n:
+            raise ConfigError(field, f"size must lie in [0, {n}], got {size}")
+    built(field, ConfusionCounts, r.false_pos, r.false_neg, r.selected_size, r.active_size, n)
+    if r.hamming != r.false_pos + r.false_neg or r.selected_size > r.preselector_size:
+        raise ConfigError(field, "need hamming = false_pos + false_neg and selected_size <= "
+                                 f"preselector_size, got {r.csv_row()}")
+
+
+def read_per_rep_csv(path: str, n: int) -> list[RepRecord]:
+    """The records of a per-rep CSV, as per_rep_csv_text writes it for a run of
+    dimension n; a row that no such run can write is a ConfigError naming its line."""
     records = []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -334,11 +404,13 @@ def read_per_rep_csv(path: str) -> list[RepRecord]:
             raise ConfigError("reps-in", f"unexpected CSV header {header!r}")
         for lineno, line in enumerate(fh, 2):
             if line.strip():
+                field = f"reps-in line {lineno}"
                 row = typed(
-                    line.strip().split(","), list, f"reps-in line {lineno}",
+                    line.strip().split(","), list, field,
                     lambda row: len(row) == 7 and all(c.isdecimal() for c in row), "7 counts"
                 )
                 records.append(RepRecord(*map(int, row)))
+                _check_record(records[-1], n, field)
     return records
 
 

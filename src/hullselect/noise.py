@@ -59,6 +59,14 @@ class IidGaussian(NoiseModel):
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(n)
 
+    def sample_rows(
+        self, n: int, rngs: Sequence[np.random.Generator], buf: np.ndarray | None = None
+    ) -> np.ndarray:
+        out = _front(buf, (len(rngs), n))
+        for row, rng in zip(out, rngs):
+            rng.standard_normal(out=row)  # in place: no n-sized temporary per row
+        return out
+
     def to_spec(self) -> dict:
         return {"variant": "iid-gaussian"}
 

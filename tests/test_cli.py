@@ -304,6 +304,21 @@ class TestUq:
         assert code == 2 and "n must be >= 1" in err
         assert out == ""
 
+    @pytest.mark.parametrize("row", ["1,5,0,3,3,3,1", "1,0,0,3,3,3,100000000000000000000",
+                                     "1,1,0,3,3,3,2", "1,0,0,4,3,3,1"],
+                             ids=["false_pos_past_selected", "hamming_past_n",
+                                  "hamming_not_fp_plus_fn", "selected_past_preselector"])
+    def test_row_no_run_can_write_exit_2(self, capsys, tmp_path, row):
+        p = tmp_path / "reps.csv"
+        p.write_text(
+            "rep,false_pos,false_neg,selected_size,preselector_size,active_size,hamming\n"
+            "1,0,0,3,3,3,0\n"
+            f"{row}\n"
+        )
+        code, out, err = run_cli(capsys, "uq", "--reps-in", str(p), "--n", "100")
+        assert code == 2 and "config field 'reps-in line 3'" in err
+        assert out == ""
+
     @pytest.mark.parametrize("row", ["1,0,0,3,100000000000000000000,3,0",
                                      "1,0,0,3,3,100000000000000000000,0"],
                              ids=["preselector_size", "active_size"])

@@ -163,6 +163,33 @@ class TestStreams:
         for r in range(1000):
             assert 0 <= stream_seed(-5, r) < 2**64
 
+    def test_batch_seeding_equals_default_rng(self):
+        # the generators built per batch against numpy's own SeedSequence
+        # path, so that a change of numpy's seeding fails here; a seed below
+        # 2**32 has one entropy word, a larger one two
+        draw = np.random.default_rng(99).integers(0, 2**64 - 1, 3000, np.uint64, endpoint=True)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + draw.tolist()
+        for master in (0, -5, 2**63 - 1, 20250810):
+            seeds += [stream_seed(master, rep) for rep in range(1, 601)]
+        assert min(seeds) == 0 and max(seeds) == 2**64 - 1
+        assert sum(s < 2**32 for s in seeds) >= 3
+        got = harness._default_rngs(seeds)
+        assert len(got) == len(seeds)
+        for seed, rng in zip(seeds, got):
+            want = np.random.default_rng(seed)
+            assert rng.bit_generator.state == want.bit_generator.state, seed
+            assert rng.bit_generator.random_raw(2).tolist() == want.bit_generator.random_raw(2).tolist()
+            assert rng.standard_normal() == want.standard_normal(), seed
+
+    @pytest.mark.parametrize("signs", ["positive", "random"])
+    def test_run_builds_default_rng_only_for_the_signal(self, monkeypatch, signs):
+        calls = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a) or real(*a))
+        cfg = experiment_config_from_dict(base_config(signal={"s": 4, "A": 16.0, "signs": signs}))
+        run_experiment(cfg)
+        assert calls == ([(stream_seed(cfg.master_seed, 0),)] if signs == "random" else [])
+
 
 class TestResolveWorkers:
     @pytest.fixture
@@ -585,11 +612,12 @@ class TestRunExperiment:
 
     def test_per_rep_csv_round_trip(self, tmp_path):
         weak = base_config(signal={"s": 4, "A": 2.0}, K=1.0, replications=30)
-        records = run_experiment(experiment_config_from_dict(weak)).records
+        cfg = experiment_config_from_dict(weak)
+        records = run_experiment(cfg).records
         assert len({r.hamming for r in records}) > 1
         path = tmp_path / "reps.csv"
         path.write_text(per_rep_csv_text(records))
-        assert read_per_rep_csv(str(path)) == list(records)
+        assert read_per_rep_csv(str(path), cfg.n) == list(records)
 
     def test_wall_time_positive(self):
         report = run_experiment(experiment_config_from_dict(base_config(replications=2)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,22 @@ class TestSamplers:
             assert got.shape == (3, 50) and np.shares_memory(got, buf)
             assert got.tobytes() == want.tobytes(), model
             assert np.isnan(buf[150:]).all()
+
+    def test_iid_rows_drawn_in_place(self):
+        # each row equals sample bitwise, and drawing into a given buffer
+        # allocates less than one row: no row goes through a temporary
+        n, rows = 100_000, 4
+        buf = np.empty(rows * n)
+        rngs = [np.random.default_rng(40 + j) for j in range(rows)]
+        tracemalloc.start()
+        try:
+            block = IidGaussian().sample_rows(n, rngs, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n, peak
+        for j, row in enumerate(block):
+            assert row.tobytes() == IidGaussian().sample(n, np.random.default_rng(40 + j)).tobytes()
 
     def test_ar1_zero_rho_equals_iid_stream(self):
         a = sample_noise(Ar1(0.0), 500, np.random.default_rng(9))
